@@ -318,7 +318,7 @@ func BenchmarkAblationPageRecycling(b *testing.B) {
 			rt := offheap.NewRuntime()
 			rt.DisableRecycle = mode.disable
 			ic := 0
-			s := rt.NewIterScope(nil, &ic, 0)
+			s := rt.NewIterScope(nil, &ic, 0, nil)
 			defer s.Close()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

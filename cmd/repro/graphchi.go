@@ -39,13 +39,7 @@ func table2Cmd(args []string) error {
 	}
 	var tiering *offheap.TierConfig
 	if *tierHigh > 0 {
-		low := *tierLow
-		if low <= 0 || low > *tierHigh {
-			if low = *tierHigh / 2; low < 1 {
-				low = 1
-			}
-		}
-		tiering = &offheap.TierConfig{Dir: *tierDir, HighWater: *tierHigh, LowWater: low}
+		tiering = &offheap.TierConfig{Dir: *tierDir, HighWater: *tierHigh, LowWater: *tierLow}
 	}
 	heaps := []int64{*baseHeap, *baseHeap * 6 / 8, *baseHeap * 4 / 8}
 	labels := []string{"8g", "6g", "4g"} // paper-relative labels

@@ -167,16 +167,10 @@ func RunContext(ctx context.Context, p *ir.Program, opts ...Option) (*Result, er
 		}
 	}
 	var tiering *offheap.TierConfig
-	if o.tierHigh > 0 && p.Transformed {
-		low := o.tierLow
-		if low <= 0 || low > o.tierHigh {
-			// Default hysteresis: evict down to half the high watermark so
-			// one crossing doesn't immediately re-trigger the evictor.
-			if low = o.tierHigh / 2; low < 1 {
-				low = 1
-			}
-		}
-		tiering = &offheap.TierConfig{Dir: o.tierDir, HighWater: o.tierHigh, LowWater: low}
+	if (o.tierHigh != 0 || o.tierLow != 0) && p.Transformed {
+		// offheap.EnableTiering validates the watermarks and defaults a
+		// zero low one.
+		tiering = &offheap.TierConfig{Dir: o.tierDir, HighWater: o.tierHigh, LowWater: o.tierLow}
 	}
 	var m *vm.VM
 	if o.reuseVM != nil {

@@ -151,16 +151,17 @@ func WithPageQuota(pages int64) Option {
 	return func(o *runOptions) { o.pageQuota = pages }
 }
 
-// WithTiering spills cold off-heap pages to a file-backed store under dir
-// (mmap on linux, pread/pwrite elsewhere) once more than highPages pages
-// are resident in DRAM, evicting down to lowPages. Spilled pages promote
-// back transparently on access, and iteration-end bulk release drops them
-// without reading them back. Program output is bit-identical with tiering
-// on or off (the tier-equivalence battery enforces it); only residency
-// changes. Applies to transformed programs only — untransformed programs
-// have no off-heap pages — and composes with WithPageQuota, which then
-// caps resident pages rather than live pages: the run spills before it
-// fails. Pass highPages <= 0 to disable.
+// WithTiering spills cold off-heap pages to a file under dir once more
+// than highPages pages are resident in DRAM, evicting down to lowPages
+// (0 means highPages/2, at least 1; a lowPages outside 1..highPages is an
+// error). Spilled pages promote back transparently on access, and
+// iteration-end bulk release drops them without reading them back.
+// Program output is bit-identical with tiering on or off (the
+// tier-equivalence battery enforces it); only residency changes. Applies
+// to transformed programs only — untransformed programs have no off-heap
+// pages — and composes with WithPageQuota, which then caps resident pages
+// rather than live pages: the run spills before it fails. Pass 0, 0 to
+// disable.
 func WithTiering(dir string, highPages, lowPages int) Option {
 	return func(o *runOptions) {
 		o.tierDir = dir

@@ -114,7 +114,7 @@ func lazyFacade(src string, heapSize int) func() (map[string]float64, error) {
 func runOffheapChurn() (map[string]float64, error) {
 	rt := offheap.NewRuntime()
 	ic := 0
-	s := rt.NewIterScope(nil, &ic, 0)
+	s := rt.NewIterScope(nil, &ic, 0, nil)
 	defer s.Close()
 	for iter := 0; iter < 300; iter++ {
 		s.IterationStart()

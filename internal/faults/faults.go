@@ -108,7 +108,10 @@ type Config struct {
 	PageAt   int64
 
 	// TierSpillProb / TierSpillAt fail disk-tier spill writes;
-	// TierLoadProb / TierLoadAt fail disk-tier promotion reads.
+	// TierLoadProb / TierLoadAt fail disk-tier promotion reads. Spill
+	// and promote counts, and so the page a count-keyed tier fault hits,
+	// are exact run to run only at one worker: at more, the interleaving
+	// of threads decides when the watermark is crossed.
 	TierSpillProb float64
 	TierSpillAt   int64
 	TierLoadProb  float64

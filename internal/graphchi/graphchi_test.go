@@ -458,6 +458,48 @@ func TestTieredPageRankAtScale(t *testing.T) {
 	}
 }
 
+// TestTieredSpillScheduleDeterministic pins the determinism the disk
+// tier does promise: at one worker, eviction and promotion points are a
+// function of the program and seed alone, so same-seed runs spill and
+// promote the same number of pages and produce bit-identical values. At
+// more workers the allocation and access interleaving decides when the
+// watermark is crossed, so only the values are promised (docs/OFFHEAP.md).
+func TestTieredSpillScheduleDeterministic(t *testing.T) {
+	_, p2, err := BuildPrograms()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := datagen.PowerLawGraph(2000, 30000, 42)
+	sg := Shard(g, 4, false)
+	cfg := Config{App: PageRank, Workers: 1, Iterations: 2, MemoryBudget: 256 << 10}
+	var spilled, promoted int64
+	var first []float64
+	for run := 0; run < 3; run++ {
+		c := cfg
+		c.Tiering = &offheap.TierConfig{Dir: t.TempDir(), HighWater: 8, LowWater: 4}
+		met, vals, err := RunProgram(p2, 48<<20, sg, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if met.PagesSpilled == 0 || met.PagesPromoted == 0 {
+			t.Fatalf("run %d: spilled %d, promoted %d — the schedule is vacuous", run, met.PagesSpilled, met.PagesPromoted)
+		}
+		if run == 0 {
+			spilled, promoted, first = met.PagesSpilled, met.PagesPromoted, vals
+			continue
+		}
+		if met.PagesSpilled != spilled || met.PagesPromoted != promoted {
+			t.Fatalf("run %d: spilled/promoted %d/%d, run 0: %d/%d",
+				run, met.PagesSpilled, met.PagesPromoted, spilled, promoted)
+		}
+		for v := range first {
+			if math.Float64bits(vals[v]) != math.Float64bits(first[v]) {
+				t.Fatalf("run %d: vertex %d = %v, run 0: %v", run, v, vals[v], first[v])
+			}
+		}
+	}
+}
+
 // TestBudgetLadderExhaustionIsOME: when the budget cannot halve any
 // further (a single edge no longer fits), the engine reports a genuine
 // OutOfMemoryError instead of looping.

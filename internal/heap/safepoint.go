@@ -10,13 +10,14 @@ import (
 // Stop-the-world coordination. Mutator threads are either "running"
 // (executing IR and touching the heap) or "external" (parked at a
 // safepoint, or executing framework Go code that only reaches the heap
-// through handles). A collection may proceed only when every registered
-// thread except the collector is external.
+// through handles). A collection — or an eviction of the off-heap disk
+// tier (internal/offheap) — may proceed only when every registered thread
+// except the one stopping the world is external.
 
 type safepointState struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
-	gcMu    sync.Mutex // ownership of a collection
+	gcMu    sync.Mutex // ownership of a stopped world
 	wanted  atomic.Bool
 	running int
 	threads map[*ThreadCtx]struct{}
@@ -158,16 +159,32 @@ func (tc *ThreadCtx) FlushStats() {
 // is a single atomic load when no collection is pending.
 func (tc *ThreadCtx) Safepoint() {
 	if tc.hp.sp.wanted.Load() {
-		tc.BeginExternal()
-		tc.EndExternal()
+		tc.park()
 	}
+}
+
+// park is Safepoint's slow path, kept out of line so the poll inlines.
+func (tc *ThreadCtx) park() {
+	tc.BeginExternal()
+	tc.EndExternal()
 }
 
 // Collect runs a collection (minor, or full when full is true) with the
 // calling thread as the collector. It returns ErrOutOfMemory if a full
 // collection cannot fit the live set.
 func (hp *Heap) Collect(tc *ThreadCtx, full bool) error {
+	var err error
+	hp.StopTheWorld(tc, func() { err = hp.collectSTW(full) })
+	return err
+}
+
+// StopTheWorld runs fn while every registered thread except tc's is
+// external: the one stop/resume routine behind both collection and the
+// off-heap disk tier's eviction. Requests from several threads serialize;
+// tc leaves in the state (running or external) it entered in.
+func (hp *Heap) StopTheWorld(tc *ThreadCtx, fn func()) {
 	sp := &hp.sp
+	running := tc.running
 	tc.BeginExternal()
 	sp.gcMu.Lock()
 	sp.wanted.Store(true)
@@ -178,15 +195,16 @@ func (hp *Heap) Collect(tc *ThreadCtx, full bool) error {
 	}
 	sp.mu.Unlock()
 
-	err := hp.collectSTW(full)
+	fn()
 
 	sp.wanted.Store(false)
 	sp.mu.Lock()
 	sp.cond.Broadcast()
 	sp.mu.Unlock()
 	sp.gcMu.Unlock()
-	tc.EndExternal()
-	return err
+	if running {
+		tc.EndExternal()
+	}
 }
 
 // invalidateTLABs resets every thread's TLAB after the nursery has been

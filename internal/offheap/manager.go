@@ -100,6 +100,9 @@ type PageManager struct {
 	// outside a scope (e.g. the VM root manager), which always use the
 	// global pool.
 	cache *pageCache
+	// stop is the allocating thread's StopWorld, under which eviction
+	// runs (inherited from the scope; see Bind for shared managers).
+	stop StopWorld
 
 	// IterID identifies the iteration this manager serves; -1 is the
 	// thread-default manager ⟨⊥, t⟩. ThreadID identifies the owning thread.
@@ -118,6 +121,12 @@ func (rt *Runtime) NewManager(parent *PageManager, iterID, threadID int) *PageMa
 	}
 	return m
 }
+
+// Bind sets the StopWorld the manager's allocations evict under. Managers
+// in an IterScope inherit their thread's; a manager shared between
+// threads under a lock (the VM root manager) is bound by whichever thread
+// holds the lock.
+func (m *PageManager) Bind(stop StopWorld) { m.stop = stop }
 
 // alloc returns a page reference to size zeroed bytes. Allocation from a
 // released manager and page-acquire failures surface as typed errors
@@ -141,7 +150,7 @@ func (m *PageManager) alloc(size int) (PageRef, error) {
 		if want == PageSize {
 			p, err = m.acquirePage()
 		} else {
-			p, err = m.rt.getPage(want)
+			p, err = m.rt.getPage(want, m.stop)
 		}
 		if err != nil {
 			return 0, err
@@ -150,22 +159,21 @@ func (m *PageManager) alloc(size int) (PageRef, error) {
 		m.notePages()
 		p.pos = size
 		zero(p.buf[:size])
-		// The acquire pin held the page resident through the init writes;
-		// from here on record accessors pin it per operation.
-		m.rt.unpinAcquire(p)
 		return MakeRef(p.idx, 0), nil
 	}
 	p := m.cur[ci]
 	if p == nil || p.pos+size > len(p.buf) {
-		var err error
-		p, err = m.acquirePage()
+		np, err := m.acquirePage()
 		if err != nil {
 			return 0, err
 		}
-		// The new page keeps its acquire pin as the bump-page pin: the
-		// evictor must never target the page a manager is bump-allocating
-		// into. The replaced page's pin is dropped here.
-		m.rt.unpinAcquire(m.cur[ci])
+		// The evictor must never take the page a manager bump-allocates
+		// into: its bytes are written here without a resolve.
+		if p != nil {
+			p.bump = false
+		}
+		np.bump = true
+		p = np
 		m.pages = append(m.pages, p)
 		m.notePages()
 		m.cur[ci] = p
@@ -183,14 +191,14 @@ func (m *PageManager) alloc(size int) (PageRef, error) {
 func (m *PageManager) acquirePage() (*page, error) {
 	if m.cache != nil && !m.rt.DisablePageCache {
 		if e, ok := m.cache.pop(); ok {
-			if err := m.rt.noteCachedRecycle(e.p); err != nil {
+			if err := m.rt.noteCachedRecycle(e.p, m.stop); err != nil {
 				m.cache.put(e.p, e.srcIter)
 				return nil, err
 			}
 			return e.p, nil
 		}
 	}
-	return m.rt.getPage(PageSize)
+	return m.rt.getPage(PageSize, m.stop)
 }
 
 func zero(b []byte) {
@@ -228,25 +236,20 @@ func (m *PageManager) ReleaseAll() {
 	for _, c := range children {
 		c.ReleaseAll()
 	}
-	for i := range m.cur {
-		m.rt.unpinAcquire(m.cur[i]) // drop the bump-page pins before releasing
+	for i, p := range m.cur {
+		if p != nil {
+			p.bump = false
+			m.cur[i] = nil
+		}
 	}
-	tiered := m.rt.tier != nil
 	for _, p := range m.pages {
 		if m.cache != nil && !m.rt.DisablePageCache && !m.rt.DisableRecycle &&
-			(tiered || len(p.buf) == PageSize) {
-			// Tiered: cacheRelease checks the size itself, under the page's
-			// tier lock — p.buf may be concurrently nil'd by the evictor.
-			if m.rt.cacheRelease(m.cache, p, m.IterID) {
-				continue
-			}
+			m.rt.cacheRelease(m.cache, p, m.IterID) {
+			continue
 		}
 		m.rt.releasePage(p)
 	}
 	m.pages = nil
-	for i := range m.cur {
-		m.cur[i] = nil
-	}
 	if m.parent != nil {
 		m.parent.childMu.Lock()
 		for i, c := range m.parent.children {
@@ -273,15 +276,9 @@ func (m *PageManager) AllocRecord(typeID uint16, bodySize int) (PageRef, error) 
 	if err != nil {
 		return 0, err
 	}
-	if m.rt.tier == nil {
-		putU16(m.rt.bytesFast(ref), typeID)
-	} else {
-		b, p := m.rt.bytesPinned(ref)
-		putU16(b, typeID)
-		m.rt.unpin(p)
-	}
+	putU16(m.rt.bytes(ref), typeID)
 	m.rt.stats.records.Add(1)
-	m.rt.maybeEvict()
+	m.maybeEvict()
 	return ref, nil
 }
 
@@ -299,19 +296,21 @@ func (m *PageManager) AllocArray(arrTypeIdx int, elemSize, n int) (PageRef, erro
 	if err != nil {
 		return 0, err
 	}
-	if m.rt.tier == nil {
-		b := m.rt.bytesFast(ref)
-		putU16(b, arrayTypeBit|uint16(arrTypeIdx))
-		putU32(b[4:], uint32(n))
-	} else {
-		b, p := m.rt.bytesPinned(ref)
-		putU16(b, arrayTypeBit|uint16(arrTypeIdx))
-		putU32(b[4:], uint32(n))
-		m.rt.unpin(p)
-	}
+	b := m.rt.bytes(ref)
+	putU16(b, arrayTypeBit|uint16(arrTypeIdx))
+	putU32(b[4:], uint32(n))
 	m.rt.stats.records.Add(1)
-	m.rt.maybeEvict()
+	m.maybeEvict()
 	return ref, nil
+}
+
+// maybeEvict drains the disk tier to its low watermark once the resident
+// count crosses the high watermark. Allocation returns are eviction
+// points: the allocating thread holds no record bytes here.
+func (m *PageManager) maybeEvict() {
+	if t := m.rt.tier; t != nil && t.resident.Load() > t.high {
+		m.rt.evict(m.stop, t.low)
+	}
 }
 
 // IterScope manages a thread's stack of page managers: the default
@@ -326,12 +325,30 @@ type IterScope struct {
 
 // NewIterScope creates the scope for a thread whose default manager is a
 // child of parent (the manager current in the creating thread; nil for the
-// first thread). nextIter supplies global iteration IDs.
-func (rt *Runtime) NewIterScope(parent *PageManager, nextIter *int, threadID int) *IterScope {
+// first thread). nextIter supplies global iteration IDs; stop is the
+// thread's StopWorld, nil when it is the store's only mutator.
+func (rt *Runtime) NewIterScope(parent *PageManager, nextIter *int, threadID int, stop StopWorld) *IterScope {
 	def := rt.NewManager(parent, -1, threadID)
 	c := &pageCache{}
 	def.cache = c
+	def.stop = stop
 	return &IterScope{rt: rt, stack: []*PageManager{def}, nextIter: nextIter, threadID: threadID, cache: c}
+}
+
+// Safepoint runs the eviction a promotion requested when it lifted the
+// resident count past the high watermark. The VM calls it at its
+// safepoint polls, where the thread holds no record bytes.
+func (s *IterScope) Safepoint() {
+	if s.rt.evictWanted.Load() {
+		s.evictRequested()
+	}
+}
+
+func (s *IterScope) evictRequested() {
+	s.rt.evictWanted.Store(false)
+	if t := s.rt.tier; t != nil && t.resident.Load() > t.high {
+		s.rt.evict(s.Current().stop, t.low)
+	}
 }
 
 // Current returns the manager new records should be allocated from.
@@ -347,6 +364,7 @@ func (s *IterScope) IterationStart() {
 	*s.nextIter = id + 1
 	m := s.rt.NewManager(s.Current(), id, s.threadID)
 	m.cache = s.cache
+	m.stop = s.Current().stop
 	s.stack = append(s.stack, m)
 }
 

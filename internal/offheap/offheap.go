@@ -84,21 +84,23 @@ func splitRef(r PageRef) (pageIdx, off int) {
 // page is one native memory block.
 type page struct {
 	buf []byte
-	pos int // bump pointer, owned by the manager currently holding the page
-	idx int // index in the runtime page table
+	// state is the disk-tier state (pageHot/pageCold/pageOnDisk, tier.go),
+	// the one atomic a record access loads. Always pageHot untiered.
+	state atomic.Uint32
+	pos   int // bump pointer, owned by the manager currently holding the page
+	idx   int // index in the runtime page table
 	// released guards against double release: oversize pages can be freed
 	// early (§3.6) and would otherwise be freed again at iteration end.
 	released atomic.Bool
+	// bump is set while a manager bump-allocates into the page; the
+	// evictor skips it. Written by the owning thread in mutator state,
+	// read with the world stopped.
+	bump bool
 
-	// Disk-tier state; only touched when the runtime has a tier attached
-	// (see tier.go for the locking protocol).
-	pinned   atomic.Int32 // in-flight record ops + the manager's bump-page pin
-	evicting atomic.Bool  // spill in progress or completed (Dekker flag vs pinners)
-	accessed atomic.Bool  // second-chance bit for the clock sweep
-	tierMu   sync.Mutex   // serializes spill/promote/release transitions
-	spilled  bool         // under tierMu: the body lives in the spill file
-	slot     int          // under tierMu: spill-file slot while spilled
-	candIdx  int          // under tier.mu: index in the candidate list, -1 if absent
+	// Disk-tier bookkeeping (tier.go).
+	mu      sync.Mutex // serializes promotions of the page
+	slot    int        // spill-file slot while on disk
+	candIdx int        // under tier.mu: index in the candidate list, -1 if absent
 }
 
 // Runtime owns all pages, the free-page pool, the array type registry, and
@@ -156,6 +158,9 @@ type Runtime struct {
 	// tier is the disk tier, nil unless EnableTiering attached one.
 	// Set before the store is shared between threads, cleared by Reset.
 	tier *tier
+	// evictWanted is set by a promotion that lifted the resident count
+	// past the high watermark; the next safepoint poll evicts.
+	evictWanted atomic.Bool
 }
 
 // Stats is a snapshot of the native store counters.
@@ -228,17 +233,17 @@ func (rt *Runtime) SetPageQuota(pages int64) { rt.quota.Store(pages) }
 func (rt *Runtime) PageQuota() int64 { return rt.quota.Load() }
 
 // checkQuota admits one more live page or returns ErrPageQuota. With a
-// disk tier the quota caps DRAM-resident pages, and eviction runs first —
-// spill is the new first rung of the degradation ladder, before
-// budget-halving, before OME.
-func (rt *Runtime) checkQuota() error {
+// disk tier the quota caps DRAM-resident pages, and eviction (under stop)
+// runs first — spill is the new first rung of the degradation ladder,
+// before budget-halving, before OME.
+func (rt *Runtime) checkQuota(stop StopWorld) error {
 	q := rt.quota.Load()
 	if q <= 0 {
 		return nil
 	}
 	if t := rt.tier; t != nil {
 		if t.resident.Load() >= q {
-			rt.evictTo(q - 1)
+			rt.evict(stop, q-1)
 		}
 		if t.resident.Load() >= q {
 			return fmt.Errorf("%w (quota %d resident pages)", ErrPageQuota, q)
@@ -268,6 +273,7 @@ func (rt *Runtime) Reset(reg *obs.Registry, inj *faults.Injector) error {
 		p.idx = i
 		p.pos = 0
 		p.released.Store(false)
+		p.state.Store(pageHot)
 		p.candIdx = -1
 		next[i] = p
 	}
@@ -281,6 +287,7 @@ func (rt *Runtime) Reset(reg *obs.Registry, inj *faults.Injector) error {
 	rt.stats.peakBytes.Store(0)
 	rt.stats.managers.Store(0)
 	rt.quota.Store(0) // a reused store must not inherit the previous job's cap
+	rt.evictWanted.Store(false)
 	rt.Locks = NewLockPool(defaultLockPoolSize)
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -357,14 +364,15 @@ func (rt *Runtime) ArrayElemType(idx int) *lang.Type {
 // larger than PageSize ("oversize") are never recycled through the pool.
 // The faults.PageAcquire point is evaluated first: a firing point fails
 // the acquire with ErrPageExhausted, modeling native allocation failure.
-func (rt *Runtime) getPage(size int) (*page, error) {
+// stop is the acquiring thread's (see checkQuota).
+func (rt *Runtime) getPage(size int, stop StopWorld) (*page, error) {
 	if rt.inj != nil && rt.inj.Fire(faults.PageAcquire) {
 		n := rt.cFaultsInj.Load() + 1
 		rt.cFaultsInj.Inc()
 		rt.obs.Emit(obs.EvFault, string(faults.PageAcquire), n, 0, 0)
 		return nil, fmt.Errorf("%w (injected fault)", ErrPageExhausted)
 	}
-	if err := rt.checkQuota(); err != nil {
+	if err := rt.checkQuota(stop); err != nil {
 		return nil, err
 	}
 	rt.mu.Lock()
@@ -405,14 +413,14 @@ func (rt *Runtime) getPage(size int) (*page, error) {
 // the global pool or a cache. Unlike getPage it never takes rt.mu: the
 // counters are atomics and no free-list or page-table access is needed —
 // this is the lock-free fast path the cache exists for.
-func (rt *Runtime) noteCachedRecycle(p *page) error {
+func (rt *Runtime) noteCachedRecycle(p *page, stop StopWorld) error {
 	if rt.inj != nil && rt.inj.Fire(faults.PageAcquire) {
 		n := rt.cFaultsInj.Load() + 1
 		rt.cFaultsInj.Inc()
 		rt.obs.Emit(obs.EvFault, string(faults.PageAcquire), n, 0, 0)
 		return fmt.Errorf("%w (injected fault)", ErrPageExhausted)
 	}
-	if err := rt.checkQuota(); err != nil {
+	if err := rt.checkQuota(stop); err != nil {
 		return err
 	}
 	rt.stats.pagesLive.Add(1)
@@ -437,10 +445,7 @@ func (rt *Runtime) releasePage(p *page) {
 	}
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	// Settle tier state first: this serializes behind any in-flight spill
-	// and frees a spilled page's disk slot without reading it back. After
-	// it returns no evictor can touch p, so the buf reads below are safe.
-	rt.tierRelease(p)
+	rt.tierRelease(p) // a spilled page's slot is freed without a read-back
 	rt.stats.pagesLive.Add(-1)
 	rt.cPageReleases.Inc()
 	rt.gPagesLive.Add(-1)
@@ -453,37 +458,18 @@ func (rt *Runtime) releasePage(p *page) {
 
 // cacheRelease parks a recyclable PageSize page in a scope cache instead
 // of the global pool, replicating releasePage's statistics without taking
-// rt.mu. Reports false when the page is not cacheable (oversize, spilled,
-// or the cache is full), in which case the caller falls back to
-// releasePage. The page's released flag stays false, exactly like a page
-// reborn through the pool.
+// rt.mu. Reports false when the page is not cacheable (oversize, spilled —
+// its buf is nil — or the cache is full), in which case the caller falls
+// back to releasePage. The page's released flag stays false, exactly like
+// a page reborn through the pool.
 func (rt *Runtime) cacheRelease(c *pageCache, p *page, srcIter int) bool {
 	if p.released.Load() {
 		return true // freed early; nothing left to release
 	}
-	if t := rt.tier; t != nil {
-		// tierMu serializes against an evictor mid-spill: once acquired,
-		// the page is either still resident (cache it, deregistered so no
-		// future sweep can take it) or spilled (release it through
-		// releasePage, which frees the slot without a read-back).
-		p.tierMu.Lock()
-		if p.spilled || len(p.buf) != PageSize {
-			p.tierMu.Unlock()
-			return false
-		}
-		if !c.put(p, srcIter) {
-			p.tierMu.Unlock()
-			return false
-		}
-		t.mu.Lock()
-		t.removeCandidateLocked(p)
-		t.mu.Unlock()
-		t.resident.Add(-1)
-		t.gResident.Add(-1)
-		p.tierMu.Unlock()
-	} else if len(p.buf) != PageSize || !c.put(p, srcIter) {
+	if len(p.buf) != PageSize || !c.put(p, srcIter) {
 		return false
 	}
+	rt.tierRelease(p)
 	rt.stats.pagesLive.Add(-1)
 	rt.cPageReleases.Inc()
 	rt.gPagesLive.Add(-1)

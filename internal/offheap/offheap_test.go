@@ -12,7 +12,7 @@ import (
 )
 
 func newScope(rt *Runtime, iterCounter *int, tid int) *IterScope {
-	return rt.NewIterScope(nil, iterCounter, tid)
+	return rt.NewIterScope(nil, iterCounter, tid, nil)
 }
 
 func mustRecord(t testing.TB, m *PageManager, typeID uint16, size int) PageRef {
@@ -176,7 +176,7 @@ func TestThreadManagerParentedUnderIteration(t *testing.T) {
 	main := newScope(rt, &ic, 0)
 	defer main.Close()
 	main.IterationStart()
-	child := rt.NewIterScope(main.Current(), &ic, 1)
+	child := rt.NewIterScope(main.Current(), &ic, 1, nil)
 	child.Current().AllocRecord(3, 64)
 	// Thread finishes without closing explicitly: the subtree release at
 	// iteration end must still reclaim it.
@@ -262,7 +262,10 @@ func TestLockPoolMutualExclusion(t *testing.T) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			owner := &struct{}{}
+			// A distinct owner per goroutine: pointers to zero-size values
+			// may all be equal, which would make every goroutine the same
+			// reentrant owner.
+			owner := new(int)
 			for j := 0; j < perThread; j++ {
 				if err := rt.Locks.Enter(rt, rec, owner, nil); err != nil {
 					t.Error(err)

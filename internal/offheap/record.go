@@ -9,13 +9,11 @@ import (
 // heap uses (computed once per class in internal/lang), so the synthesized
 // conversion functions are field-by-field copies with no remapping.
 //
-// Every accessor branches on tier presence. Untiered (the common case) it
-// is the old lock-free copy-on-write table read — no pin, no atomics, and
-// small enough that the resolution inlines into the accessor. With a disk
-// tier attached it goes through bytesPinned/bodyPinned, which pin the page
-// resident for the duration of the operation (promoting it first when
-// spilled), so a reference resolves transparently whichever tier the page
-// is on.
+// Every accessor has one path, tiered or not: resolve the page through the
+// lock-free copy-on-write table, load its tier state once, and promote it
+// (touch) only when it is not hot. Untiered pages are always hot. No
+// accessor evicts, so the bytes it resolved stay valid for the whole
+// operation — eviction waits for the world to stop (tier.go).
 
 func putU16(b []byte, v uint16) { binary.LittleEndian.PutUint16(b, v) }
 func getU16(b []byte) uint16    { return binary.LittleEndian.Uint16(b) }
@@ -24,16 +22,23 @@ func getU32(b []byte) uint32    { return binary.LittleEndian.Uint32(b) }
 func putU64(b []byte, v uint64) { binary.LittleEndian.PutUint64(b, v) }
 func getU64(b []byte) uint64    { return binary.LittleEndian.Uint64(b) }
 
-// bytesFast resolves ref without pinning. Only valid when rt.tier == nil:
-// with a tier attached an unpinned read races the evictor mid-spill.
-func (rt *Runtime) bytesFast(ref PageRef) []byte {
-	idx, off := splitRef(ref)
-	return (*rt.table.Load())[idx].buf[off:]
-}
+// bytes resolves ref to the record's bytes, header first.
+func (rt *Runtime) bytes(ref PageRef) []byte { return rt.resolve(ref, false) }
 
-// bodyFast is bytesFast skipping the record header.
-func (rt *Runtime) bodyFast(ref PageRef) []byte {
-	b := rt.bytesFast(ref)
+// body resolves ref to the record's body, past its header.
+func (rt *Runtime) body(ref PageRef) []byte { return rt.resolve(ref, true) }
+
+// resolve is the accessors' one path (kept a single call deep).
+func (rt *Runtime) resolve(ref PageRef, body bool) []byte {
+	idx, off := splitRef(ref)
+	p := (*rt.table.Load())[idx]
+	if p.state.Load() != pageHot {
+		rt.touch(p)
+	}
+	b := p.buf[off:]
+	if !body {
+		return b
+	}
 	if getU16(b)&arrayTypeBit != 0 {
 		return b[ArrayHeader:]
 	}
@@ -43,13 +48,7 @@ func (rt *Runtime) bodyFast(ref PageRef) []byte {
 // TypeID returns the record's raw type word (class ID, or array bit |
 // array type index).
 func (rt *Runtime) TypeID(ref PageRef) uint16 {
-	if rt.tier == nil {
-		return getU16(rt.bytesFast(ref))
-	}
-	b, p := rt.bytesPinned(ref)
-	v := getU16(b)
-	rt.unpin(p)
-	return v
+	return getU16(rt.bytes(ref))
 }
 
 // IsArrayRecord reports whether ref names an array record.
@@ -67,125 +66,59 @@ func (rt *Runtime) ArrayTypeOf(ref PageRef) int {
 
 // ArrayLen returns the length of an array record.
 func (rt *Runtime) ArrayLen(ref PageRef) int {
-	if rt.tier == nil {
-		return int(getU32(rt.bytesFast(ref)[4:]))
-	}
-	b, p := rt.bytesPinned(ref)
-	n := int(getU32(b[4:]))
-	rt.unpin(p)
-	return n
+	return int(getU32(rt.bytes(ref)[4:]))
 }
 
 // GetLockID reads the record's 2-byte lock field.
 func (rt *Runtime) GetLockID(ref PageRef) uint16 {
-	if rt.tier == nil {
-		return getU16(rt.bytesFast(ref)[2:])
-	}
-	b, p := rt.bytesPinned(ref)
-	v := getU16(b[2:])
-	rt.unpin(p)
-	return v
+	return getU16(rt.bytes(ref)[2:])
 }
 
 // SetLockID writes the record's lock field. Callers serialize through the
 // lock pool.
 func (rt *Runtime) SetLockID(ref PageRef, id uint16) {
-	if rt.tier == nil {
-		putU16(rt.bytesFast(ref)[2:], id)
-		return
-	}
-	b, p := rt.bytesPinned(ref)
-	putU16(b[2:], id)
-	rt.unpin(p)
+	putU16(rt.bytes(ref)[2:], id)
 }
 
 // GetByte reads a byte/boolean slot.
 func (rt *Runtime) GetByte(ref PageRef, off int) int8 {
-	if rt.tier == nil {
-		return int8(rt.bodyFast(ref)[off])
-	}
-	b, p := rt.bodyPinned(ref)
-	v := int8(b[off])
-	rt.unpin(p)
-	return v
+	return int8(rt.body(ref)[off])
 }
 
 // SetByte writes a byte/boolean slot.
 func (rt *Runtime) SetByte(ref PageRef, off int, v int8) {
-	if rt.tier == nil {
-		rt.bodyFast(ref)[off] = byte(v)
-		return
-	}
-	b, p := rt.bodyPinned(ref)
-	b[off] = byte(v)
-	rt.unpin(p)
+	rt.body(ref)[off] = byte(v)
 }
 
 // GetInt reads an int slot.
 func (rt *Runtime) GetInt(ref PageRef, off int) int32 {
-	if rt.tier == nil {
-		return int32(getU32(rt.bodyFast(ref)[off:]))
-	}
-	b, p := rt.bodyPinned(ref)
-	v := int32(getU32(b[off:]))
-	rt.unpin(p)
-	return v
+	return int32(getU32(rt.body(ref)[off:]))
 }
 
 // SetInt writes an int slot.
 func (rt *Runtime) SetInt(ref PageRef, off int, v int32) {
-	if rt.tier == nil {
-		putU32(rt.bodyFast(ref)[off:], uint32(v))
-		return
-	}
-	b, p := rt.bodyPinned(ref)
-	putU32(b[off:], uint32(v))
-	rt.unpin(p)
+	putU32(rt.body(ref)[off:], uint32(v))
 }
 
 // GetLong reads a long slot (also used for reference slots, which store
 // page references).
 func (rt *Runtime) GetLong(ref PageRef, off int) int64 {
-	if rt.tier == nil {
-		return int64(getU64(rt.bodyFast(ref)[off:]))
-	}
-	b, p := rt.bodyPinned(ref)
-	v := int64(getU64(b[off:]))
-	rt.unpin(p)
-	return v
+	return int64(getU64(rt.body(ref)[off:]))
 }
 
 // SetLong writes a long slot.
 func (rt *Runtime) SetLong(ref PageRef, off int, v int64) {
-	if rt.tier == nil {
-		putU64(rt.bodyFast(ref)[off:], uint64(v))
-		return
-	}
-	b, p := rt.bodyPinned(ref)
-	putU64(b[off:], uint64(v))
-	rt.unpin(p)
+	putU64(rt.body(ref)[off:], uint64(v))
 }
 
 // GetDouble reads a double slot.
 func (rt *Runtime) GetDouble(ref PageRef, off int) float64 {
-	if rt.tier == nil {
-		return math.Float64frombits(getU64(rt.bodyFast(ref)[off:]))
-	}
-	b, p := rt.bodyPinned(ref)
-	v := math.Float64frombits(getU64(b[off:]))
-	rt.unpin(p)
-	return v
+	return math.Float64frombits(getU64(rt.body(ref)[off:]))
 }
 
 // SetDouble writes a double slot.
 func (rt *Runtime) SetDouble(ref PageRef, off int, v float64) {
-	if rt.tier == nil {
-		putU64(rt.bodyFast(ref)[off:], math.Float64bits(v))
-		return
-	}
-	b, p := rt.bodyPinned(ref)
-	putU64(b[off:], math.Float64bits(v))
-	rt.unpin(p)
+	putU64(rt.body(ref)[off:], math.Float64bits(v))
 }
 
 // GetRef reads a reference slot (a nested page reference).
@@ -198,52 +131,21 @@ func (rt *Runtime) SetRef(ref PageRef, off int, v PageRef) { rt.SetLong(ref, off
 // WriteBody copies data into the record body at off (bulk byte-array
 // fills).
 func (rt *Runtime) WriteBody(ref PageRef, off int, data []byte) {
-	if rt.tier == nil {
-		copy(rt.bodyFast(ref)[off:], data)
-		return
-	}
-	b, p := rt.bodyPinned(ref)
-	copy(b[off:], data)
-	rt.unpin(p)
+	copy(rt.body(ref)[off:], data)
 }
 
 // ReadBody copies n body bytes starting at off out of the record.
 func (rt *Runtime) ReadBody(ref PageRef, off, n int) []byte {
 	out := make([]byte, n)
-	if rt.tier == nil {
-		copy(out, rt.bodyFast(ref)[off:])
-		return out
-	}
-	b, p := rt.bodyPinned(ref)
-	copy(out, b[off:])
-	rt.unpin(p)
+	copy(out, rt.body(ref)[off:])
 	return out
 }
 
 // ArrayCopy copies n elements of elemSize bytes between array records,
-// the native-memory model of System.arraycopy. Both pages stay pinned for
-// the copy; a tier-load failure on the second pin releases the first
-// before surfacing (pins must not leak — a leaked pin makes a page
-// unevictable for the rest of the run).
+// the native-memory model of System.arraycopy. Resolving dst cannot evict
+// src, so both byte slices stay valid for the copy.
 func (rt *Runtime) ArrayCopy(src PageRef, srcPos int, dst PageRef, dstPos, n, elemSize int) {
-	if rt.tier == nil {
-		sb := rt.bodyFast(src)
-		db := rt.bodyFast(dst)
-		copy(db[dstPos*elemSize:(dstPos+n)*elemSize], sb[srcPos*elemSize:(srcPos+n)*elemSize])
-		return
-	}
-	sb, sp := rt.bodyPinned(src)
-	db, dp, err := rt.pinResident(dst)
-	if err != nil {
-		rt.unpin(sp)
-		panic(&TierFault{Err: err})
-	}
-	if getU16(db)&arrayTypeBit != 0 {
-		db = db[ArrayHeader:]
-	} else {
-		db = db[ScalarHeader:]
-	}
+	sb := rt.body(src)
+	db := rt.body(dst)
 	copy(db[dstPos*elemSize:(dstPos+n)*elemSize], sb[srcPos*elemSize:(srcPos+n)*elemSize])
-	rt.unpin(dp)
-	rt.unpin(sp)
 }

@@ -20,17 +20,17 @@ import (
 // serialize it".
 //
 // Resolution stays transparent: a PageRef is valid whether its page is in
-// DRAM or on disk. Record accessors pin the page (a per-page counter)
-// before touching its bytes and promote it first when spilled; the evictor
-// only takes unpinned pages, selected by a second-chance clock sweep over
-// per-page access bits. The watermark policy is synchronous — eviction
-// runs at allocation and promotion points on the allocating thread, never
-// on a background goroutine — so a single-threaded run spills and promotes
-// on a deterministic schedule.
+// DRAM or on disk. A record access loads the page's state word once and
+// promotes the page under its mutex when it is on disk. Eviction never
+// runs inside an accessor: it runs at allocation and quota checks and, when
+// a promotion lifted the resident count past the high watermark, at the
+// next safepoint poll — always inside the heap's stop-the-world routine
+// (StopWorld), so no accessor is in flight while a victim's buffer is torn
+// down. Victims come from a second-chance clock sweep over the resident
+// PageSize pages; a manager's current bump page is never one.
 //
-// Lock order: rt.mu → page.tierMu → tier.mu. The victim sweep holds
-// tier.mu and TryLocks page.tierMu (reverse order, non-blocking, so it
-// cannot deadlock). All spill-file I/O happens under tier.mu.
+// Lock order: rt.mu → tier.mu and page.mu → tier.mu. tier.mu guards the
+// spill-file slot allocator and the candidate list.
 
 // TierConfig configures the disk tier (EnableTiering).
 type TierConfig struct {
@@ -38,14 +38,17 @@ type TierConfig struct {
 	// os.CreateTemp, removed at Reset/teardown). Empty means os.TempDir.
 	Dir string
 	// HighWater is the DRAM-resident page count that triggers eviction;
-	// LowWater is the count eviction drains down to. 0 < LowWater <=
-	// HighWater.
+	// LowWater is the count eviction drains down to, 0 < LowWater <=
+	// HighWater. LowWater 0 means HighWater/2 (at least 1).
 	HighWater int
 	LowWater  int
-	// ForcePortable selects the pread/pwrite backend even on platforms
-	// with an mmap backend (tests exercise both on linux).
-	ForcePortable bool
 }
+
+// StopWorld runs fn while every other mutator thread of the VM is parked
+// at a heap safepoint: heap.StopTheWorld bound to the calling thread's
+// context. The VM gives one to each thread's IterScope. A nil StopWorld
+// declares the caller the store's only mutator, and eviction runs inline.
+type StopWorld func(fn func())
 
 // TierFault carries a disk-tier I/O failure across the infallible record
 // accessors: a failed promotion panics with *TierFault, which the VM call
@@ -56,45 +59,20 @@ type TierFault struct{ Err error }
 func (f *TierFault) Error() string { return "offheap: tier fault: " + f.Err.Error() }
 func (f *TierFault) Unwrap() error { return f.Err }
 
-// tierBackend is the spill-file I/O abstraction: fixed PageSize slots.
-// All calls are serialized under tier.mu.
-type tierBackend interface {
-	writeSlot(slot int, buf []byte) error
-	readSlot(slot int, buf []byte) error
-	close(remove bool) error
-}
+// Page tier states (page.state).
+const (
+	pageHot    uint32 = iota // resident, referenced since the last sweep
+	pageCold                 // resident, the clock hand cleared its reference
+	pageOnDisk               // body in the spill file, buf nil
+)
 
-// fileBackend is the portable pread/pwrite backend.
-type fileBackend struct{ f *os.File }
-
-func (b *fileBackend) writeSlot(slot int, buf []byte) error {
-	_, err := b.f.WriteAt(buf, int64(slot)*PageSize)
-	return err
-}
-
-func (b *fileBackend) readSlot(slot int, buf []byte) error {
-	_, err := b.f.ReadAt(buf, int64(slot)*PageSize)
-	return err
-}
-
-func (b *fileBackend) close(remove bool) error {
-	name := b.f.Name()
-	err := b.f.Close()
-	if remove {
-		if rerr := os.Remove(name); err == nil {
-			err = rerr
-		}
-	}
-	return err
-}
-
-// tier is the disk tier's state: the backend, the slot allocator, and the
-// eviction candidate list (live resident PageSize pages).
+// tier is the disk tier's state: the spill file, its slot allocator, and
+// the eviction candidate list (live resident PageSize pages).
 type tier struct {
-	cfg TierConfig
+	high, low int64
+	file      *os.File
 
 	mu         sync.Mutex
-	backend    tierBackend
 	freeSlots  []int
 	nextSlot   int
 	candidates []*page
@@ -127,7 +105,10 @@ func (rt *Runtime) EnableTiering(cfg TierConfig) error {
 	if cfg.HighWater <= 0 {
 		return errors.New("offheap: tiering needs a positive high watermark")
 	}
-	if cfg.LowWater <= 0 || cfg.LowWater > cfg.HighWater {
+	if cfg.LowWater == 0 {
+		cfg.LowWater = max(cfg.HighWater/2, 1)
+	}
+	if cfg.LowWater < 0 || cfg.LowWater > cfg.HighWater {
 		return fmt.Errorf("offheap: low watermark %d must be in 1..%d", cfg.LowWater, cfg.HighWater)
 	}
 	if rt.stats.pagesLive.Load() != 0 {
@@ -137,16 +118,11 @@ func (rt *Runtime) EnableTiering(cfg TierConfig) error {
 	if err != nil {
 		return fmt.Errorf("offheap: spill file: %w", err)
 	}
-	var backend tierBackend
-	if cfg.ForcePortable {
-		backend = &fileBackend{f: f}
-	} else {
-		backend = newMmapBackend(f)
-	}
 	reg := rt.obs
 	rt.tier = &tier{
-		cfg:           cfg,
-		backend:       backend,
+		high:          int64(cfg.HighWater),
+		low:           int64(cfg.LowWater),
+		file:          f,
 		cSpilled:      reg.Counter(obs.CtrPagesSpilled),
 		cPromoted:     reg.Counter(obs.CtrPagesPromoted),
 		cSpillBytes:   reg.Counter(obs.CtrSpillBytes),
@@ -164,7 +140,7 @@ func (rt *Runtime) EnableTiering(cfg TierConfig) error {
 // Tiered reports whether the store has a disk tier attached.
 func (rt *Runtime) Tiered() bool { return rt.tier != nil }
 
-// closeTier tears down the tier: unmap/close/remove the spill file and
+// closeTier tears down the tier: close and remove the spill file and
 // detach. Pages still spilled lose their bodies — callers (Reset) ensure
 // no page is live.
 func (rt *Runtime) closeTier() error {
@@ -173,13 +149,14 @@ func (rt *Runtime) closeTier() error {
 		return nil
 	}
 	rt.tier = nil
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.candidates = nil
-	return t.backend.close(true)
+	err := t.file.Close()
+	if rerr := os.Remove(t.file.Name()); err == nil {
+		err = rerr
+	}
+	return err
 }
 
-// --- candidate list (tier.mu held) ---
+// --- candidate list and slots (tier.mu held) ---
 
 func (t *tier) addCandidateLocked(p *page) {
 	if p.candIdx != -1 {
@@ -205,19 +182,27 @@ func (t *tier) removeCandidateLocked(p *page) {
 	}
 }
 
+func (t *tier) allocSlotLocked() int {
+	if n := len(t.freeSlots); n > 0 {
+		slot := t.freeSlots[n-1]
+		t.freeSlots = t.freeSlots[:n-1]
+		return slot
+	}
+	t.nextSlot++
+	return t.nextSlot - 1
+}
+
 // --- acquire/release bookkeeping ---
 
-// tierAcquire records a page entering the live set resident, registers it
-// as an eviction candidate when it is a standard PageSize page, and
-// returns it pre-pinned so it cannot be evicted before the allocating
-// manager has initialized it. No-op when untiered.
+// tierAcquire records a page entering the live set resident and registers
+// it as an eviction candidate when it is a standard PageSize page. No-op
+// when untiered.
 func (rt *Runtime) tierAcquire(p *page) {
 	t := rt.tier
 	if t == nil {
 		return
 	}
-	p.pinned.Add(1)
-	p.accessed.Store(true)
+	p.state.Store(pageHot)
 	t.resident.Add(1)
 	t.gResident.Add(1)
 	if len(p.buf) == PageSize {
@@ -227,118 +212,71 @@ func (rt *Runtime) tierAcquire(p *page) {
 	}
 }
 
-// unpinAcquire drops the pin tierAcquire installed. Managers call it when
-// the page stops being an allocation target (immediately for dedicated and
-// oversize pages, on replacement or release for bump pages).
-func (rt *Runtime) unpinAcquire(p *page) {
-	if rt.tier == nil || p == nil {
-		return
-	}
-	p.pinned.Add(-1)
-}
-
 // tierRelease records a page leaving the live set: a resident page is
 // deregistered from the candidate list; a spilled page has its disk slot
 // freed without ever being read back — the whole point of iteration-end
-// bulk release. Returns with the page resident-state fields cleared.
-// No-op when untiered.
+// bulk release. Releases run in mutator state, so never during an
+// eviction. No-op when untiered.
 func (rt *Runtime) tierRelease(p *page) {
 	t := rt.tier
 	if t == nil {
 		return
 	}
-	p.tierMu.Lock()
-	defer p.tierMu.Unlock()
-	if p.spilled {
-		t.mu.Lock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if p.state.Load() == pageOnDisk {
 		t.freeSlots = append(t.freeSlots, p.slot)
-		t.mu.Unlock()
-		p.spilled = false
-		p.slot = -1
-		p.evicting.Store(false)
+		p.state.Store(pageHot)
 		t.disk.Add(-1)
 		t.gDisk.Add(-1)
 		return
 	}
+	t.removeCandidateLocked(p)
 	t.resident.Add(-1)
 	t.gResident.Add(-1)
-	t.mu.Lock()
-	t.removeCandidateLocked(p)
-	t.mu.Unlock()
 }
 
 // --- eviction ---
 
-// maybeEvict spills cold pages down to the low watermark when the
-// resident count crosses the high watermark. Callers must hold no page
-// tierMu and not rt.mu.
-// maybeEvict is split from evictIfOver so the untiered fast path inlines
-// into the allocators; the tiered path can afford the extra call.
-func (rt *Runtime) maybeEvict() {
-	if rt.tier != nil {
-		rt.evictIfOver()
-	}
-}
-
-func (rt *Runtime) evictIfOver() {
-	t := rt.tier
-	if t.resident.Load() <= int64(t.cfg.HighWater) {
+// evict spills cold pages until at most target pages are resident or
+// nothing evictable remains. The spill runs inside stop, with every other
+// mutator parked; the caller holds no record bytes.
+func (rt *Runtime) evict(stop StopWorld, target int64) {
+	if stop == nil {
+		rt.evictStopped(target)
 		return
 	}
-	rt.evictTo(int64(t.cfg.LowWater))
+	stop(func() { rt.evictStopped(target) })
 }
 
-// evictTo spills candidates until at most target pages are resident or
-// nothing evictable remains (everything pinned or spill failing).
-func (rt *Runtime) evictTo(target int64) {
+// evictStopped is evict's body, run with the world stopped.
+func (rt *Runtime) evictStopped(target int64) {
 	t := rt.tier
-	if target < 0 {
-		target = 0
-	}
-	for t.resident.Load() > target {
-		p := t.selectVictim()
-		if p == nil {
-			return
-		}
-		err := rt.spillLocked(p)
-		p.tierMu.Unlock()
-		if err != nil {
-			return // best effort: the page stays resident
-		}
-	}
-}
-
-// selectVictim runs the second-chance clock sweep and returns an unpinned
-// resident candidate with its tierMu held and evicting set, or nil when a
-// full sweep finds nothing evictable. The pinned check under both
-// tier.mu-TryLock(tierMu) and the evicting flag close the race against
-// accessors pinning concurrently (see pinResident).
-func (t *tier) selectVictim() *page {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for i := 2 * len(t.candidates); i > 0; i-- {
-		if len(t.candidates) == 0 {
-			return nil
+	for t.resident.Load() > target {
+		p := t.victimLocked()
+		if p == nil || rt.spillLocked(p) != nil {
+			return // best effort: the store degrades toward the quota/OME rungs
 		}
+	}
+}
+
+// victimLocked runs the second-chance clock sweep: a hot page is marked
+// cold and skipped, a cold one is the victim. Bump pages never are. Nil
+// when a full sweep finds nothing evictable.
+func (t *tier) victimLocked() *page {
+	for i := 2 * len(t.candidates); i > 0; i-- {
 		if t.hand >= len(t.candidates) {
 			t.hand = 0
 		}
 		p := t.candidates[t.hand]
 		t.hand++
-		if p.pinned.Load() > 0 {
+		if p.bump {
 			continue
 		}
-		if p.accessed.Load() {
-			p.accessed.Store(false) // second chance
-			continue
-		}
-		if !p.tierMu.TryLock() {
-			continue // busy; treat like pinned
-		}
-		p.evicting.Store(true)
-		if p.pinned.Load() > 0 || p.spilled || p.released.Load() {
-			p.evicting.Store(false)
-			p.tierMu.Unlock()
+		if p.state.Load() == pageHot {
+			p.state.Store(pageCold) // second chance
 			continue
 		}
 		return p
@@ -347,42 +285,26 @@ func (t *tier) selectVictim() *page {
 }
 
 // spillLocked writes p's body to a disk slot and drops the DRAM buffer.
-// p.tierMu is held, evicting is set, and p is a validated victim. On error
-// the page stays resident (the caller clears nothing; evicting is reset
-// here) — spill is best effort, the store degrades toward the quota/OME
-// rungs instead.
+// World stopped, tier.mu held. On error the page stays resident.
 func (rt *Runtime) spillLocked(p *page) error {
 	t := rt.tier
 	if rt.inj != nil && rt.inj.Fire(faults.TierSpill) {
 		n := t.cFaultSpill.Load() + 1
 		t.cFaultSpill.Inc()
 		rt.obs.Emit(obs.EvFault, string(faults.TierSpill), n, 0, 0)
-		p.evicting.Store(false)
 		return fmt.Errorf("offheap: tier spill: injected fault")
 	}
 	start := time.Now()
-	t.mu.Lock()
-	var slot int
-	if n := len(t.freeSlots); n > 0 {
-		slot = t.freeSlots[n-1]
-		t.freeSlots = t.freeSlots[:n-1]
-	} else {
-		slot = t.nextSlot
-		t.nextSlot++
-	}
-	err := t.backend.writeSlot(slot, p.buf)
-	if err != nil {
+	slot := t.allocSlotLocked()
+	if _, err := t.file.WriteAt(p.buf, int64(slot)*PageSize); err != nil {
 		t.freeSlots = append(t.freeSlots, slot)
-		t.mu.Unlock()
-		p.evicting.Store(false)
 		return fmt.Errorf("offheap: tier spill: %w", err)
 	}
 	t.removeCandidateLocked(p)
-	t.mu.Unlock()
 	t.hSpillStall.Observe(time.Since(start).Nanoseconds())
 	p.slot = slot
-	p.spilled = true
 	p.buf = nil
+	p.state.Store(pageOnDisk)
 	t.resident.Add(-1)
 	t.gResident.Add(-1)
 	t.disk.Add(1)
@@ -393,10 +315,32 @@ func (rt *Runtime) spillLocked(p *page) error {
 	return nil
 }
 
-// promoteLocked reads p's body back from its disk slot. p.tierMu is held
-// and p.spilled is true. A failed read (injected TierLoad or real I/O
-// error) leaves the page spilled and returns an error wrapping
-// ErrPageExhausted so the caller's panic rides the OOM degradation rails.
+// --- promotion ---
+
+// touch is the out-of-line half of record resolution, taken when the
+// page is not hot. A cold page is marked referenced again. A spilled page
+// is promoted under its mutex; a failed promotion panics with *TierFault,
+// recovered at the VM call boundary.
+func (rt *Runtime) touch(p *page) {
+	if p.state.Load() == pageCold {
+		p.state.Store(pageHot)
+		return
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.state.Load() != pageOnDisk {
+		return // another thread promoted it first
+	}
+	if err := rt.promoteLocked(p); err != nil {
+		panic(&TierFault{Err: err})
+	}
+}
+
+// promoteLocked reads p's body back from its disk slot; p.mu is held. A
+// failed read (injected TierLoad or real I/O error) leaves the page
+// spilled and returns an error wrapping ErrPageExhausted. A promotion
+// past the high watermark requests an eviction at the next safepoint
+// poll — never here, where the caller is mid-access.
 func (rt *Runtime) promoteLocked(p *page) error {
 	t := rt.tier
 	if rt.inj != nil && rt.inj.Fire(faults.TierLoad) {
@@ -407,91 +351,24 @@ func (rt *Runtime) promoteLocked(p *page) error {
 	}
 	buf := make([]byte, PageSize)
 	start := time.Now()
-	t.mu.Lock()
-	if err := t.backend.readSlot(p.slot, buf); err != nil {
-		t.mu.Unlock()
+	if _, err := t.file.ReadAt(buf, int64(p.slot)*PageSize); err != nil {
 		return fmt.Errorf("%w (tier load: %v)", ErrPageExhausted, err)
 	}
+	t.mu.Lock()
 	t.freeSlots = append(t.freeSlots, p.slot)
 	t.addCandidateLocked(p)
 	t.mu.Unlock()
 	t.hPromoteStall.Observe(time.Since(start).Nanoseconds())
-	p.slot = -1
 	p.buf = buf
-	p.spilled = false
-	p.evicting.Store(false)
-	p.accessed.Store(true)
+	p.state.Store(pageHot)
 	t.disk.Add(-1)
 	t.gDisk.Add(-1)
-	t.resident.Add(1)
 	t.gResident.Add(1)
 	t.cPromoted.Inc()
 	t.cPromoteBytes.Add(PageSize)
 	rt.addBytes(PageSize)
+	if t.resident.Add(1) > t.high {
+		rt.evictWanted.Store(true)
+	}
 	return nil
-}
-
-// --- pinned access ---
-
-// pinResident pins ref's page resident and returns the record bytes plus
-// the page to unpin (nil page when untiered — unpin is a no-op then).
-//
-// The pin/evict handshake is a Dekker pair: the accessor stores its pin
-// and then loads evicting; the evictor stores evicting and then loads the
-// pin (both under seq-cst atomics). Whichever ordering the race resolves
-// to, either the evictor sees the pin and skips, or the accessor sees
-// evicting and takes the slow path, serializing on tierMu behind the
-// spill and promoting the page back. There is no interleaving where the
-// accessor reads a buffer the evictor is tearing down.
-func (rt *Runtime) pinResident(ref PageRef) ([]byte, *page, error) {
-	idx, off := splitRef(ref)
-	p := (*rt.table.Load())[idx]
-	if rt.tier == nil {
-		return p.buf[off:], nil, nil
-	}
-	p.pinned.Add(1)
-	p.accessed.Store(true)
-	if p.evicting.Load() {
-		p.tierMu.Lock()
-		if p.spilled {
-			if err := rt.promoteLocked(p); err != nil {
-				p.tierMu.Unlock()
-				p.pinned.Add(-1)
-				return nil, nil, err
-			}
-			p.tierMu.Unlock()
-			// Promotion raised the resident count; rebalance. The pin
-			// keeps this page out of the sweep.
-			rt.maybeEvict()
-		} else {
-			p.tierMu.Unlock()
-		}
-	}
-	return p.buf[off:], p, nil
-}
-
-// bytesPinned is pinResident for infallible callers: a tier-load failure
-// panics with *TierFault, recovered at the VM call boundary.
-func (rt *Runtime) bytesPinned(ref PageRef) ([]byte, *page) {
-	b, p, err := rt.pinResident(ref)
-	if err != nil {
-		panic(&TierFault{Err: err})
-	}
-	return b, p
-}
-
-// bodyPinned is bytesPinned skipping the record header.
-func (rt *Runtime) bodyPinned(ref PageRef) ([]byte, *page) {
-	b, p := rt.bytesPinned(ref)
-	if getU16(b)&arrayTypeBit != 0 {
-		return b[ArrayHeader:], p
-	}
-	return b[ScalarHeader:], p
-}
-
-// unpin releases a pin taken by bytesPinned/bodyPinned/pinResident.
-func (rt *Runtime) unpin(p *page) {
-	if p != nil {
-		p.pinned.Add(-1)
-	}
 }

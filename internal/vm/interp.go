@@ -337,7 +337,7 @@ blocks:
 				regs[in.Dst] = Value(uint32(hp.ArrayLen(arr)))
 
 			case ir.OpCall:
-				t.tc.Safepoint()
+				t.safepoint()
 				if p := vm.cancel.Load(); p != nil {
 					return 0, *p
 				}
@@ -361,7 +361,7 @@ blocks:
 					regs[in.Dst] = v
 				}
 			case ir.OpCallStatic:
-				t.tc.Safepoint()
+				t.safepoint()
 				if p := vm.cancel.Load(); p != nil {
 					return 0, *p
 				}
@@ -385,7 +385,7 @@ blocks:
 				return regs[in.A], nil
 			case ir.OpJump:
 				if in.Blk <= bi {
-					t.tc.Safepoint()
+					t.safepoint()
 					if p := vm.cancel.Load(); p != nil {
 						return 0, *p
 					}
@@ -398,7 +398,7 @@ blocks:
 					nxt = in.Blk
 				}
 				if nxt <= bi {
-					t.tc.Safepoint()
+					t.safepoint()
 					if p := vm.cancel.Load(); p != nil {
 						return 0, *p
 					}

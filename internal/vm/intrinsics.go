@@ -96,7 +96,7 @@ func (t *Thread) intrinsic(in *ir.Instr, regs []Value) (Value, error) {
 		t.IterationStart()
 		return 0, nil
 	case inIterEnd:
-		t.IterationEnd()
+		t.iterationEnd()
 		return 0, nil
 	case inTrapNoReturn:
 		return 0, fmt.Errorf("vm: missing return in value-returning method")
@@ -281,7 +281,7 @@ func (t *Thread) stringLiteral(idx int) (Value, error) {
 	var v Value
 	var err error
 	if vm.Prog.Transformed {
-		v, err = vm.makeRecString(s)
+		v, err = t.makeRecString(s)
 	} else {
 		v, err = t.makeHeapString(s)
 	}
@@ -313,9 +313,13 @@ func (t *Thread) makeHeapString(s string) (Value, error) {
 	return Value(obj), nil
 }
 
-// makeRecString builds a String page record in the VM root scope.
-func (vm *VM) makeRecString(s string) (Value, error) {
+// makeRecString builds a String page record in the VM root scope. The
+// root manager is shared; strMu serializes its allocations, so the caller
+// binds it to this thread for them.
+func (t *Thread) makeRecString(s string) (Value, error) {
+	vm := t.vm
 	rt := vm.RT
+	vm.rootScope.Bind(t.stopWorld)
 	sf := vm.facadeOf("String")
 	if sf == nil {
 		return 0, fmt.Errorf("vm: transformed program has no String facade")

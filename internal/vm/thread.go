@@ -77,7 +77,7 @@ func (vm *VM) NewThread(parent *Thread) (*Thread, error) {
 			pm = vm.rootScope
 		}
 		iterIDMu.Lock()
-		t.iter = vm.RT.NewIterScope(pm, &vm.iterCounter, t.id)
+		t.iter = vm.RT.NewIterScope(pm, &vm.iterCounter, t.id, t.stopWorld)
 		iterIDMu.Unlock()
 		if err := t.initPools(); err != nil {
 			t.Close()
@@ -117,9 +117,13 @@ func (t *Thread) initPools() error {
 }
 
 // Close unregisters the thread and releases its default page manager.
+// Framework code calls it in external state; the release runs in mutator
+// state so it is serialized with disk-tier eviction.
 func (t *Thread) Close() {
 	if t.iter != nil {
+		t.tc.EndExternal()
 		t.iter.Close()
+		t.tc.BeginExternal()
 	}
 	t.vm.threadsMu.Lock()
 	delete(t.vm.threads, t)
@@ -163,11 +167,36 @@ func (t *Thread) IterationStart() {
 
 // IterationEnd ends the innermost iteration, bulk-releasing its pages
 // (transformed programs) and resetting the epoch's heap region (enforced
-// lifetimes; see heap.EpochEnd).
+// lifetimes; see heap.EpochEnd). Framework code calls it between Calls,
+// in external state; it enters mutator state for the release, which is
+// thereby serialized with disk-tier eviction — a release never races a
+// spill.
 func (t *Thread) IterationEnd() {
+	t.tc.EndExternal()
+	defer t.tc.BeginExternal()
+	t.iterationEnd()
+}
+
+// iterationEnd is IterationEnd for a thread already in mutator state (the
+// Sys.iterEnd intrinsic).
+func (t *Thread) iterationEnd() {
 	t.vm.Heap.EpochEnd(t.tc)
 	if t.iter != nil {
 		t.iter.IterationEnd()
+	}
+}
+
+// stopWorld runs fn with every other thread of the VM parked: the heap's
+// stop-the-world routine bound to this thread, under which the page
+// store's disk tier evicts (offheap.StopWorld).
+func (t *Thread) stopWorld(fn func()) { t.vm.Heap.StopTheWorld(t.tc, fn) }
+
+// safepoint is the interpreter's poll: it parks the thread while the
+// world is stopped and runs an eviction a page promotion requested.
+func (t *Thread) safepoint() {
+	t.tc.Safepoint()
+	if t.iter != nil {
+		t.iter.Safepoint()
 	}
 }
 
