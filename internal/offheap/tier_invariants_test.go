@@ -45,40 +45,49 @@ func dedicated(t *testing.T, m *PageManager, typeID uint16) PageRef {
 	return mustRecord(t, m, typeID, 20000)
 }
 
+// onSpillFile runs f as the "portable" subtest: the spill file is read
+// and written with positioned file I/O (ReadAt/WriteAt), which works on
+// every platform.
+func onSpillFile(t *testing.T, f func(t *testing.T)) {
+	t.Run("portable", f)
+}
+
 func TestTierSpillPromoteRoundtrip(t *testing.T) {
-	rt, _ := newTieredRuntime(t, 4, 2)
-	ic := 0
-	s := newScope(rt, &ic, 0)
-	defer s.Close()
-	const n = 12
-	refs := make([]PageRef, n)
-	for i := range refs {
-		refs[i] = dedicated(t, s.Current(), uint16(i+1))
-		rt.SetLong(refs[i], 0, int64(i)*1_000_003)
-		rt.SetDouble(refs[i], 8, float64(i)+0.5)
-		checkTierAccounting(t, rt)
-	}
-	st := rt.Stats()
-	if st.PagesSpilled == 0 {
-		t.Fatal("watermark pressure produced no spills")
-	}
-	if st.PagesResident > 4 {
-		t.Fatalf("resident %d above high watermark after allocation", st.PagesResident)
-	}
-	// Reading every record promotes the spilled ones back; the data
-	// must be bit-identical to what was written.
-	for i, ref := range refs {
-		if got := rt.GetLong(ref, 0); got != int64(i)*1_000_003 {
-			t.Fatalf("record %d long = %d after spill/promote", i, got)
+	onSpillFile(t, func(t *testing.T) {
+		rt, _ := newTieredRuntime(t, 4, 2)
+		ic := 0
+		s := newScope(rt, &ic, 0)
+		defer s.Close()
+		const n = 12
+		refs := make([]PageRef, n)
+		for i := range refs {
+			refs[i] = dedicated(t, s.Current(), uint16(i+1))
+			rt.SetLong(refs[i], 0, int64(i)*1_000_003)
+			rt.SetDouble(refs[i], 8, float64(i)+0.5)
+			checkTierAccounting(t, rt)
 		}
-		if got := rt.GetDouble(ref, 8); got != float64(i)+0.5 {
-			t.Fatalf("record %d double = %v after spill/promote", i, got)
+		st := rt.Stats()
+		if st.PagesSpilled == 0 {
+			t.Fatal("watermark pressure produced no spills")
 		}
-		checkTierAccounting(t, rt)
-	}
-	if rt.Stats().PagesPromoted == 0 {
-		t.Fatal("reads of spilled pages did not promote")
-	}
+		if st.PagesResident > 4 {
+			t.Fatalf("resident %d above high watermark after allocation", st.PagesResident)
+		}
+		// Reading every record promotes the spilled ones back; the data
+		// must be bit-identical to what was written.
+		for i, ref := range refs {
+			if got := rt.GetLong(ref, 0); got != int64(i)*1_000_003 {
+				t.Fatalf("record %d long = %d after spill/promote", i, got)
+			}
+			if got := rt.GetDouble(ref, 8); got != float64(i)+0.5 {
+				t.Fatalf("record %d double = %v after spill/promote", i, got)
+			}
+			checkTierAccounting(t, rt)
+		}
+		if rt.Stats().PagesPromoted == 0 {
+			t.Fatal("reads of spilled pages did not promote")
+		}
+	})
 }
 
 func TestTierNoDoubleSpillOrPromote(t *testing.T) {
@@ -233,27 +242,29 @@ func TestTierBumpPageNeverEvicted(t *testing.T) {
 }
 
 func TestTierIterationReleaseSkipsReadback(t *testing.T) {
-	rt, _ := newTieredRuntime(t, 2, 1)
-	ic := 0
-	s := newScope(rt, &ic, 0)
-	defer s.Close()
-	s.IterationStart()
-	for i := 0; i < 8; i++ {
-		dedicated(t, s.Current(), 1)
-	}
-	before := rt.Stats()
-	if before.PagesDisk == 0 {
-		t.Fatal("setup: nothing spilled")
-	}
-	s.IterationEnd()
-	after := rt.Stats()
-	if after.PagesPromoted != before.PagesPromoted {
-		t.Fatalf("iteration release read %d spilled page(s) back from disk",
-			after.PagesPromoted-before.PagesPromoted)
-	}
-	if after.PagesDisk != 0 || after.PagesLive != 0 {
-		t.Fatalf("release left disk=%d live=%d", after.PagesDisk, after.PagesLive)
-	}
+	onSpillFile(t, func(t *testing.T) {
+		rt, _ := newTieredRuntime(t, 2, 1)
+		ic := 0
+		s := newScope(rt, &ic, 0)
+		defer s.Close()
+		s.IterationStart()
+		for i := 0; i < 8; i++ {
+			dedicated(t, s.Current(), 1)
+		}
+		before := rt.Stats()
+		if before.PagesDisk == 0 {
+			t.Fatal("setup: nothing spilled")
+		}
+		s.IterationEnd()
+		after := rt.Stats()
+		if after.PagesPromoted != before.PagesPromoted {
+			t.Fatalf("iteration release read %d spilled page(s) back from disk",
+				after.PagesPromoted-before.PagesPromoted)
+		}
+		if after.PagesDisk != 0 || after.PagesLive != 0 {
+			t.Fatalf("release left disk=%d live=%d", after.PagesDisk, after.PagesLive)
+		}
+	})
 }
 
 func TestTierQuotaSpillsBeforeFailing(t *testing.T) {
@@ -347,33 +358,35 @@ func TestTierSpillFaultIsBestEffort(t *testing.T) {
 }
 
 func TestTierResetTearsDownSpillFile(t *testing.T) {
-	rt, dir := newTieredRuntime(t, 2, 1)
-	ic := 0
-	s := newScope(rt, &ic, 0)
-	for i := 0; i < 6; i++ {
-		dedicated(t, s.Current(), 1)
-	}
-	if ents, _ := os.ReadDir(dir); len(ents) != 1 {
-		t.Fatalf("expected one spill file during the run, found %d entries", len(ents))
-	}
-	s.Close()
-	if err := rt.Reset(nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	if rt.Tiered() {
-		t.Fatal("Reset left the tier attached")
-	}
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ents) != 0 {
-		t.Fatalf("Reset leaked %d spill file(s): %v", len(ents), ents)
-	}
-	st := rt.Stats()
-	if st.PagesSpilled != 0 || st.PagesResident != 0 || st.PagesDisk != 0 {
-		t.Fatalf("Reset left tier counters: %+v", st)
-	}
+	onSpillFile(t, func(t *testing.T) {
+		rt, dir := newTieredRuntime(t, 2, 1)
+		ic := 0
+		s := newScope(rt, &ic, 0)
+		for i := 0; i < 6; i++ {
+			dedicated(t, s.Current(), 1)
+		}
+		if ents, _ := os.ReadDir(dir); len(ents) != 1 {
+			t.Fatalf("expected one spill file during the run, found %d entries", len(ents))
+		}
+		s.Close()
+		if err := rt.Reset(nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		if rt.Tiered() {
+			t.Fatal("Reset left the tier attached")
+		}
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ents) != 0 {
+			t.Fatalf("Reset leaked %d spill file(s): %v", len(ents), ents)
+		}
+		st := rt.Stats()
+		if st.PagesSpilled != 0 || st.PagesResident != 0 || st.PagesDisk != 0 {
+			t.Fatalf("Reset left tier counters: %+v", st)
+		}
+	})
 }
 
 func TestEnableTieringValidation(t *testing.T) {
