@@ -19,7 +19,7 @@ import (
 //	repro bench -short -json BENCH_pr.json -baseline BENCH_main.json -tolerance 10%
 //
 // and fails the build when any case's calibration-normalized median
-// regresses past the tolerance.
+// regresses past the tolerance, or when a selected case has no baseline.
 func benchCmd(args []string) error {
 	fs := flag.NewFlagSet("bench", flag.ExitOnError)
 	short := fs.Bool("short", false, "run only the smoke-set cases")
@@ -76,12 +76,27 @@ func benchCmd(args []string) error {
 	if *baseline == "" {
 		return nil
 	}
-	base, err := bench.ReadFile(*baseline)
+	regressed, err := gate(*baseline, f, tol)
 	if err != nil {
-		return fmt.Errorf("reading baseline: %w", err)
+		return err
 	}
-	deltas, regressed := bench.Compare(base, f, tol)
-	fmt.Printf("\nvs %s (rev %s, tolerance %.0f%%):\n", *baseline, base.Rev, tol*100)
+	if regressed > 0 {
+		return fmt.Errorf("%d case(s) regressed beyond %.0f%%", regressed, tol*100)
+	}
+	fmt.Println("no regressions")
+	return nil
+}
+
+// gate compares f against the baseline file at path, printing one line per
+// case, and returns how many cases regressed beyond tol. A case the
+// baseline does not cover is an error naming it: it was never gated.
+func gate(path string, f *bench.File, tol float64) (int, error) {
+	base, err := bench.ReadFile(path)
+	if err != nil {
+		return 0, fmt.Errorf("reading baseline: %w", err)
+	}
+	deltas, regressed, missing := bench.Compare(base, f, tol)
+	fmt.Printf("\nvs %s (rev %s, tolerance %.0f%%):\n", path, base.Rev, tol*100)
 	for _, d := range deltas {
 		mark := "  "
 		if d.Regressed {
@@ -89,11 +104,14 @@ func benchCmd(args []string) error {
 		}
 		fmt.Printf("%s %-28s %8.3fx (normalized %.3fx)\n", mark, d.Name, d.Ratio, d.NormRatio)
 	}
-	if regressed > 0 {
-		return fmt.Errorf("%d case(s) regressed beyond %.0f%%", regressed, tol*100)
+	for _, name := range missing {
+		fmt.Printf("?? %-28s no baseline\n", name)
 	}
-	fmt.Println("no regressions")
-	return nil
+	if len(missing) > 0 {
+		return regressed, fmt.Errorf("%d case(s) have no baseline in %s: %s",
+			len(missing), path, strings.Join(missing, ", "))
+	}
+	return regressed, nil
 }
 
 // parseTolerance accepts "10%" or a bare fraction like "0.1".

@@ -109,7 +109,7 @@ func loadCmd(args []string) error {
 	// Measure the calibration spin case in-process so the gate can
 	// normalize away machine speed, same as `repro bench`.
 	if cal, err := bench.Run(bench.Options{
-		Reps: 3, Filter: regexp.MustCompile("^" + regexp.QuoteMeta(bench.CalibrationCase) + "$"),
+		Reps: 3, Warmup: 1, Filter: regexp.MustCompile("^" + regexp.QuoteMeta(bench.CalibrationCase) + "$"),
 	}); err == nil {
 		f.Cases = append(f.Cases, cal.Cases...)
 	}
@@ -122,18 +122,11 @@ func loadCmd(args []string) error {
 	if *baseline == "" {
 		return nil
 	}
-	base, err := bench.ReadFile(*baseline)
+	// A sustained case without a baseline fails even with -report-only:
+	// that is a misconfigured profile, not runner noise.
+	regressed, err := gate(*baseline, f, tol)
 	if err != nil {
-		return fmt.Errorf("reading baseline: %w", err)
-	}
-	deltas, regressed := bench.Compare(base, f, tol)
-	fmt.Printf("\nvs %s (rev %s, tolerance %.0f%%):\n", *baseline, base.Rev, tol*100)
-	for _, d := range deltas {
-		mark := "  "
-		if d.Regressed {
-			mark = "!!"
-		}
-		fmt.Printf("%s %-28s %8.3fx (normalized %.3fx)\n", mark, d.Name, d.Ratio, d.NormRatio)
+		return err
 	}
 	if regressed > 0 {
 		if *reportOnly {

@@ -20,8 +20,9 @@
 // bounded event stream — documented in docs/OBSERVABILITY.md.
 //
 // cmd/repro regenerates every table and figure of the paper's §4 (add
-// -json for machine-readable run reports); cmd/facadec is the standalone
-// compiler driver. bench_test.go in this directory hosts one benchmark per
-// reproduced table/figure plus ablations. See DESIGN.md for the system
-// inventory and EXPERIMENTS.md for paper-vs-measured results.
+// -json for machine-readable run reports); `repro bench` runs the
+// benchmark registry (internal/bench), including the design-choice
+// ablations; cmd/facadec is the standalone compiler driver. See DESIGN.md
+// for the system inventory and EXPERIMENTS.md for paper-vs-measured
+// results.
 package repro

@@ -266,10 +266,17 @@ func (r *Result) Output() string {
 	return r.out.String()
 }
 
-// Close releases the run's thread.
+// Close releases the run's thread and, on a tiered run, the disk tier:
+// the spill file is closed and removed, so the VM's records must not be
+// read afterwards. The VM may still be handed to ResetForReuse.
 func (r *Result) Close() {
 	if r.Thread != nil {
 		r.Thread.Close()
+	}
+	if r.VM != nil && r.VM.RT != nil {
+		// Close has no error result; a failed removal only leaves the
+		// spill file behind.
+		_ = r.VM.RT.CloseTier()
 	}
 }
 

@@ -223,3 +223,37 @@ func TestTierReusedVMTearsDownSpill(t *testing.T) {
 		t.Fatalf("spill file leaked into untiered reuse: %d left in %s", n, dir2)
 	}
 }
+
+// TestTierCloseRemovesSpillFile: a one-shot tiered run (no daemon, no
+// reuse) must not leave its spill file behind once the result is closed,
+// and the closed VM must still reset cleanly for a warm reuse.
+func TestTierCloseRemovesSpillFile(t *testing.T) {
+	prog, err := Compile(map[string]string{"tier.fj": tierSrc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p2, err := Transform(prog, TransformOptions{DataClasses: []string{"Big", "Main"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	res, err := Run(p2, WithHeapSize(16<<20), WithTiering(dir, 4, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats().Offheap.PagesSpilled == 0 {
+		t.Fatal("run never spilled; the teardown check is vacuous")
+	}
+	res.Close()
+	if left, _ := os.ReadDir(dir); len(left) != 0 {
+		t.Fatalf("Close left %d file(s) in the tier directory: %v", len(left), left)
+	}
+	again, err := Run(p2, WithHeapSize(16<<20), WithReusedVM(res.VM))
+	if err != nil {
+		t.Fatalf("reuse after Close: %v", err)
+	}
+	defer again.Close()
+	if again.Output() != res.Output() {
+		t.Fatalf("reuse after Close diverges: %q vs %q", again.Output(), res.Output())
+	}
+}

@@ -5,10 +5,9 @@
 // rep cannot move the headline number), and a stable JSON result format
 // (facade.bench/v1) that CI diffs against a committed baseline.
 //
-// The harness is deliberately separate from `go test -bench`: the root
-// bench_test.go benchmarks are exploratory and run under the testing
-// package's policies; this package produces the regression-gate artifact
-// (BENCH_<rev>.json) with a schema other tooling can rely on.
+// It is the repo's one benchmark registry: `repro bench` runs it, and the
+// paper's tables and figures are printed by the other repro subcommands
+// (table2, fig4a, table3, fig4bc, gps, objcount, speed).
 package bench
 
 import (
@@ -51,7 +50,7 @@ func Cases() []Case {
 // Options configures a harness run.
 type Options struct {
 	Reps   int // measured repetitions per case (default 5)
-	Warmup int // discarded repetitions per case (default 1)
+	Warmup int // discarded repetitions per case (negative = 0)
 	Short  bool
 	Filter *regexp.Regexp
 	Rev    string
@@ -72,12 +71,7 @@ func Run(opts Options) (*File, error) {
 	if reps <= 0 {
 		reps = 5
 	}
-	warmup := opts.Warmup
-	if warmup < 0 {
-		warmup = 0
-	} else if opts.Warmup == 0 {
-		warmup = 1
-	}
+	warmup := max(opts.Warmup, 0)
 	f := &File{Schema: Schema, Rev: opts.Rev}
 	for _, c := range Cases() {
 		if opts.Short && !c.Short {

@@ -5,6 +5,8 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"regexp"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -56,7 +58,7 @@ func mkFile(rev string, medians map[string]int64) *File {
 func TestCompareFlagsRegression(t *testing.T) {
 	base := mkFile("main", map[string]int64{"a": 100, "b": 100})
 	cur := mkFile("pr", map[string]int64{"a": 105, "b": 125})
-	deltas, n := Compare(base, cur, 0.10)
+	deltas, n, _ := Compare(base, cur, 0.10)
 	if n != 1 {
 		t.Fatalf("regressed = %d, want 1", n)
 	}
@@ -73,7 +75,7 @@ func TestCompareZeroTolerance(t *testing.T) {
 	// match — the gate must not fail on "same speed".
 	base := mkFile("main", map[string]int64{"same": 1000, "hair": 1000})
 	cur := mkFile("pr", map[string]int64{"same": 1000, "hair": 1001})
-	deltas, n := Compare(base, cur, 0)
+	deltas, n, _ := Compare(base, cur, 0)
 	if n != 1 {
 		t.Fatalf("regressed = %d, want 1 (%+v)", n, deltas)
 	}
@@ -89,7 +91,7 @@ func TestCompareNormalizesByCalibration(t *testing.T) {
 	// a case that also doubled is NOT a regression, one that tripled is.
 	base := mkFile("main", map[string]int64{CalibrationCase: 100, "same": 100, "slow": 100})
 	cur := mkFile("pr", map[string]int64{CalibrationCase: 200, "same": 200, "slow": 300})
-	deltas, n := Compare(base, cur, 0.10)
+	deltas, n, _ := Compare(base, cur, 0.10)
 	if n != 1 {
 		t.Fatalf("regressed = %d, want 1 (got %+v)", n, deltas)
 	}
@@ -111,12 +113,67 @@ func TestCompareNormalizesByCalibration(t *testing.T) {
 	}
 }
 
-func TestCompareSkipsUnmatchedCases(t *testing.T) {
-	base := mkFile("main", map[string]int64{"a": 100})
-	cur := mkFile("pr", map[string]int64{"a": 100, "new": 999})
-	deltas, n := Compare(base, cur, 0.10)
-	if n != 0 || len(deltas) != 1 || deltas[0].Name != "a" {
-		t.Fatalf("deltas = %+v, regressed = %d", deltas, n)
+// TestCompareReportsUnmatchedCases: a current case the baseline does not
+// cover (or covers with no usable median) is reported by name, never
+// silently passed; baseline-only cases are not the current run's concern.
+func TestCompareReportsUnmatchedCases(t *testing.T) {
+	base := mkFile("main", map[string]int64{"a": 100, "zero": 0, "gone": 100})
+	cur := mkFile("pr", map[string]int64{"a": 100, "new": 999, "zero": 5})
+	deltas, n, missing := Compare(base, cur, 0.10)
+	sort.Strings(missing)
+	if n != 0 || len(deltas) != 1 || deltas[0].Name != "a" ||
+		strings.Join(missing, ",") != "new,zero" {
+		t.Fatalf("deltas = %+v, regressed = %d, missing = %v", deltas, n, missing)
+	}
+}
+
+// TestRunHonorsZeroWarmup: Warmup 0 means no warmup repetition, and the
+// result file records it.
+func TestRunHonorsZeroWarmup(t *testing.T) {
+	f, err := Run(Options{Reps: 1, Warmup: 0, Filter: regexp.MustCompile("^" + CalibrationCase + "$")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(f.Cases) != 1 || f.Cases[0].Warmup != 0 {
+		t.Fatalf("zero-warmup run recorded as %+v", f.Cases)
+	}
+}
+
+// TestAblationCounters runs the counter-bearing ablations once and checks
+// the relations the design choices promise.
+func TestAblationCounters(t *testing.T) {
+	metric := func(name, key string) float64 {
+		t.Helper()
+		for _, c := range Cases() {
+			if c.Name == name {
+				m, err := c.Run()
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				v, ok := m[key]
+				if !ok {
+					t.Fatalf("%s reports no %s: %v", name, key, m)
+				}
+				return v
+			}
+		}
+		t.Fatalf("no case %s", name)
+		return 0
+	}
+	if rec, no := metric("ablation/recycle/recycle", "pages_created"),
+		metric("ablation/recycle/no-recycle", "pages_created"); no <= rec {
+		t.Errorf("pages created: no-recycle %v <= recycle %v", no, rec)
+	}
+	if obj, rec := metric("ablation/headers/heap-objects", "bytes_per_record"),
+		metric("ablation/headers/page-records", "bytes_per_record"); obj <= rec {
+		t.Errorf("bytes/record: heap objects %v <= page records %v", obj, rec)
+	}
+	if dce, nodce := metric("ablation/dce/dce", "interp_instrs"),
+		metric("ablation/dce/nodce", "interp_instrs"); dce >= nodce {
+		t.Errorf("interpreted instructions: dce %v >= nodce %v", dce, nodce)
+	}
+	if removed := metric("ablation/dce/dce", "dce_removed"); removed <= 0 {
+		t.Errorf("dce removed %v instructions", removed)
 	}
 }
 

@@ -90,10 +90,11 @@ type Delta struct {
 // Compare matches cases by name and flags regressions: a case regresses
 // when its normalized ratio exceeds 1+tolerance. When both files carry
 // the calibration case, ratios are normalized by it (and the calibration
-// case itself is never flagged); otherwise NormRatio == Ratio. Cases
-// present in only one file are skipped — the gate protects what the
-// baseline covers. Returns all matched deltas and the number regressed.
-func Compare(base, cur *File, tolerance float64) ([]Delta, int) {
+// case itself is never flagged); otherwise NormRatio == Ratio. It returns
+// the matched deltas, the number regressed, and the names of current
+// cases the baseline has no (positive) median for: an ungated case is a
+// gate failure, not a pass.
+func Compare(base, cur *File, tolerance float64) (deltas []Delta, regressed int, missing []string) {
 	baseBy := make(map[string]Result, len(base.Cases))
 	for _, r := range base.Cases {
 		baseBy[r.Name] = r
@@ -106,11 +107,10 @@ func Compare(base, cur *File, tolerance float64) ([]Delta, int) {
 			}
 		}
 	}
-	var deltas []Delta
-	regressed := 0
 	for _, r := range cur.Cases {
 		b, ok := baseBy[r.Name]
 		if !ok || b.MedianNS <= 0 {
+			missing = append(missing, r.Name)
 			continue
 		}
 		d := Delta{
@@ -126,5 +126,5 @@ func Compare(base, cur *File, tolerance float64) ([]Delta, int) {
 		}
 		deltas = append(deltas, d)
 	}
-	return deltas, regressed
+	return deltas, regressed, missing
 }

@@ -180,6 +180,10 @@ func TestBenchCases(t *testing.T) {
 	if cases[1].Name != "sustained/smoke/job-cost" || cases[1].MedianNS != 100_000_000 {
 		t.Fatalf("job-cost case wrong: %+v", cases[1])
 	}
+	// job-cost is one sample: it must not borrow the latency case's spread.
+	if c := cases[1]; c.Reps != 1 || c.MADNS != 0 || c.MinNS != c.MedianNS || c.MaxNS != c.MedianNS {
+		t.Fatalf("job-cost spread: reps %d mad %d min %d max %d", c.Reps, c.MADNS, c.MinNS, c.MaxNS)
+	}
 	if cases[1].Metrics["jobs_per_sec"] != 10 {
 		t.Fatalf("job-cost metrics: %v", cases[1].Metrics)
 	}

@@ -181,7 +181,8 @@ func (r *Report) Encode(w io.Writer) error {
 //	                               with p95/p99 and backpressure counters
 //	                               carried as metrics
 //	sustained/<profile>/job-cost — wall time per job (MedianNS), the
-//	                               inverse of sustained throughput
+//	                               inverse of sustained throughput; a
+//	                               single sample, so MAD 0 and min = max
 //
 // The profile names the workload shape (e.g. "smoke", "mixed-300") so
 // differently-shaped runs never gate against each other's numbers.
@@ -202,20 +203,20 @@ func (r *Report) BenchCases(profile string) []bench.Result {
 			"ome_rate":       r.OMERate,
 		},
 	}
+	var perJob int64
+	if r.Jobs > 0 {
+		perJob = r.WallNS / int64(r.Jobs)
+	}
 	cost := bench.Result{
 		Name:     "sustained/" + profile + "/job-cost",
-		Reps:     r.Jobs,
-		MedianNS: 0,
-		MADNS:    r.LatencyMADNS,
-		MinNS:    r.LatencyMinNS,
-		MaxNS:    r.LatencyMaxNS,
+		Reps:     1,
+		MedianNS: perJob,
+		MinNS:    perJob,
+		MaxNS:    perJob,
 		Metrics: map[string]float64{
 			"jobs_per_sec":    r.JobsPerSec,
 			"queue_max_depth": float64(r.QueueMaxDepth),
 		},
-	}
-	if r.Jobs > 0 {
-		cost.MedianNS = r.WallNS / int64(r.Jobs)
 	}
 	return []bench.Result{latency, cost}
 }

@@ -304,7 +304,7 @@ func (rt *Runtime) Reset(reg *obs.Registry, inj *faults.Injector) error {
 	}
 	// Tear down the disk tier: a pooled warm VM must not leak spill files
 	// (or tier counters) across tenant jobs.
-	if err := rt.closeTier(); err != nil {
+	if err := rt.CloseTier(); err != nil {
 		return fmt.Errorf("offheap: reset: %w", err)
 	}
 	return nil

@@ -140,10 +140,10 @@ func (rt *Runtime) EnableTiering(cfg TierConfig) error {
 // Tiered reports whether the store has a disk tier attached.
 func (rt *Runtime) Tiered() bool { return rt.tier != nil }
 
-// closeTier tears down the tier: close and remove the spill file and
-// detach. Pages still spilled lose their bodies — callers (Reset) ensure
-// no page is live.
-func (rt *Runtime) closeTier() error {
+// CloseTier tears down the tier: close and remove the spill file and
+// detach. Pages still spilled lose their bodies, so no record may be read
+// afterwards; releasing pages and Reset stay safe. A no-op untiered.
+func (rt *Runtime) CloseTier() error {
 	t := rt.tier
 	if t == nil {
 		return nil
