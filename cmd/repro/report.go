@@ -4,6 +4,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
+	"strings"
 
 	"repro/internal/cluster"
 	"repro/internal/gps"
@@ -52,6 +54,35 @@ func (r *reporter) flush() error {
 	return nil
 }
 
+// addRecoveryMetrics copies a run's recovery book into its metrics.
+func addRecoveryMetrics(m map[string]float64, s obs.Snapshot) {
+	for k, v := range s.Recovery() {
+		m[k] = float64(v)
+	}
+}
+
+// recoveryBook sums the recovery books of a subcommand's runs for its
+// fault summary line.
+type recoveryBook map[string]int64
+
+func (b recoveryBook) add(s obs.Snapshot) {
+	for k, v := range s.Recovery() {
+		b[k] += v
+	}
+}
+
+func (b recoveryBook) print() {
+	parts := make([]string, 0, len(b))
+	for k, v := range b {
+		parts = append(parts, fmt.Sprintf("%s=%d", k, v))
+	}
+	sort.Strings(parts)
+	if len(parts) == 0 {
+		parts = []string{"no recovery work"}
+	}
+	fmt.Printf("fault injection (summed over runs): %s\n", strings.Join(parts, " "))
+}
+
 // gpsReport converts one GPS run into a RunReport, including the run's
 // fault-recovery and network counters.
 func gpsReport(name, program string, cfg gps.Config, edges int, r *gps.Result) obs.RunReport {
@@ -68,21 +99,15 @@ func gpsReport(name, program string, cfg gps.Config, edges int, r *gps.Result) o
 	}
 	rep.WallNanos = r.ET.Nanoseconds()
 	rep.Metrics = map[string]float64{
-		"et_s":                r.ET.Seconds(),
-		"gt_s":                r.GT.Seconds(),
-		"pm_bytes":            float64(r.PM),
-		"heap_peak":           float64(r.HeapPeak),
-		"native_peak":         float64(r.NativePeak),
-		"minor_gcs":           float64(r.MinorGCs),
-		"full_gcs":            float64(r.FullGCs),
-		"checkpoints":         float64(r.Recovery.Checkpoints),
-		"checkpoint_bytes":    float64(r.Recovery.CheckpointBytes),
-		"checkpoints_dropped": float64(r.Recovery.CheckpointsDropped),
-		"restores":            float64(r.Recovery.Restores),
-		"node_restarts":       float64(r.Recovery.NodeRestarts),
-		"crashes":             float64(r.Recovery.Crashes),
-		"oom_recoveries":      float64(r.Recovery.OOMRecoveries),
+		"et_s":        r.ET.Seconds(),
+		"gt_s":        r.GT.Seconds(),
+		"pm_bytes":    float64(r.PM),
+		"heap_peak":   float64(r.HeapPeak),
+		"native_peak": float64(r.NativePeak),
+		"minor_gcs":   float64(r.MinorGCs),
+		"full_gcs":    float64(r.FullGCs),
 	}
+	addRecoveryMetrics(rep.Metrics, r.Obs)
 	addNetMetrics(rep.Metrics, r.Net)
 	if len(r.NodeObs) > 0 {
 		rep.Obs = r.NodeObs[0]
@@ -104,22 +129,18 @@ func hyracksReport(name, program string, sizeGB int, r *hyracks.Result) obs.RunR
 		ome = 1
 	}
 	rep.Metrics = map[string]float64{
-		"et_s":           r.ET.Seconds(),
-		"gt_s":           r.GT.Seconds(),
-		"ome":            ome,
-		"pm_bytes":       float64(r.PM),
-		"heap_peak":      float64(r.HeapPeak),
-		"native_peak":    float64(r.NativePeak),
-		"minor_gcs":      float64(r.MinorGCs),
-		"full_gcs":       float64(r.FullGCs),
-		"shuffled_mb":    r.ShuffledMB,
-		"output_bytes":   float64(r.OutputBytes),
-		"crashes":        float64(r.Recovery.Crashes),
-		"node_restarts":  float64(r.Recovery.NodeRestarts),
-		"task_retries":   float64(r.Recovery.TaskRetries),
-		"tasks_degraded": float64(r.Recovery.TasksDegraded),
-		"oom_recoveries": float64(r.Recovery.OOMRecoveries),
+		"et_s":         r.ET.Seconds(),
+		"gt_s":         r.GT.Seconds(),
+		"ome":          ome,
+		"pm_bytes":     float64(r.PM),
+		"heap_peak":    float64(r.HeapPeak),
+		"native_peak":  float64(r.NativePeak),
+		"minor_gcs":    float64(r.MinorGCs),
+		"full_gcs":     float64(r.FullGCs),
+		"shuffled_mb":  r.ShuffledMB,
+		"output_bytes": float64(r.OutputBytes),
 	}
+	addRecoveryMetrics(rep.Metrics, r.Obs)
 	addNetMetrics(rep.Metrics, r.Net)
 	if len(r.NodeObs) > 0 {
 		rep.Obs = r.NodeObs[0]
@@ -155,28 +176,24 @@ func graphchiReport(name, program string, cfg graphchi.Config, heapBytes int64, 
 	}
 	rep.WallNanos = m.ET.Nanoseconds()
 	rep.Metrics = map[string]float64{
-		"et_s":             m.ET.Seconds(),
-		"ut_s":             m.UT.Seconds(),
-		"lt_s":             m.LT.Seconds(),
-		"gt_s":             m.GT.Seconds(),
-		"pm_bytes":         float64(m.PM),
-		"heap_peak":        float64(m.HeapPeak),
-		"native_peak":      float64(m.NativePeak),
-		"minor_gcs":        float64(m.MinorGCs),
-		"full_gcs":         float64(m.FullGCs),
-		"sub_iters":        float64(m.SubIters),
-		"data_objects":     float64(m.DataObjects),
-		"pages":            float64(m.Pages),
-		"pages_live_hw":    float64(m.PagesLiveHW),
-		"records":          float64(m.Records),
-		"edges":            float64(m.Edges),
-		"throughput_eps":   m.Throughput(),
-		"interval_retries": float64(m.Recovery.IntervalRetries),
-		"worker_crashes":   float64(m.Recovery.WorkerCrashes),
-		"worker_restarts":  float64(m.Recovery.WorkerRestarts),
-		"oom_recoveries":   float64(m.Recovery.OOMRecoveries),
-		"budget_halvings":  float64(m.Recovery.BudgetHalvings),
+		"et_s":           m.ET.Seconds(),
+		"ut_s":           m.UT.Seconds(),
+		"lt_s":           m.LT.Seconds(),
+		"gt_s":           m.GT.Seconds(),
+		"pm_bytes":       float64(m.PM),
+		"heap_peak":      float64(m.HeapPeak),
+		"native_peak":    float64(m.NativePeak),
+		"minor_gcs":      float64(m.MinorGCs),
+		"full_gcs":       float64(m.FullGCs),
+		"sub_iters":      float64(m.SubIters),
+		"data_objects":   float64(m.DataObjects),
+		"pages":          float64(m.Pages),
+		"pages_live_hw":  float64(m.PagesLiveHW),
+		"records":        float64(m.Records),
+		"edges":          float64(m.Edges),
+		"throughput_eps": m.Throughput(),
 	}
+	addRecoveryMetrics(rep.Metrics, m.Obs)
 	rep.ClassAllocs = m.ClassAllocs
 	rep.Obs = m.Obs
 	return rep

@@ -346,12 +346,12 @@ type Cluster struct {
 	cfg     Config
 	nodeInj []*faults.Injector // per-node counter-based injectors
 	inj     *faults.Injector   // shared keyed injector (network, crash plan)
+	obs     *obs.Registry      // cluster-scoped: outlives node restarts
 
 	// retired accumulates the stats of VMs replaced by RestartNode so a
 	// crash does not erase the dead node's GC history from the books.
 	retiredMu sync.Mutex
 	retired   Stats
-	restarts  int64
 }
 
 // Config sizes the cluster.
@@ -376,7 +376,7 @@ func New(prog *ir.Program, cfg Config) (*Cluster, error) {
 	if cfg.NumNodes <= 0 {
 		cfg.NumNodes = 1
 	}
-	c := &Cluster{prog: prog, cfg: cfg}
+	c := &Cluster{prog: prog, cfg: cfg, obs: obs.NewRegistry()}
 	if cfg.Faults != nil && cfg.Faults.Enabled() {
 		c.inj = faults.New(cfg.Faults)
 		for i := 0; i < cfg.NumNodes; i++ {
@@ -413,6 +413,12 @@ func (c *Cluster) newNode(id int) (*Node, error) {
 	return &Node{ID: id, VM: m, Main: t}, nil
 }
 
+// Obs returns the cluster-scoped registry the engines keep their
+// recovery book on (recovery.* counters, checkpoint/recovery/degraded
+// events). Unlike a node's VM registry it is never replaced, so counts
+// survive RestartNode.
+func (c *Cluster) Obs() *obs.Registry { return c.obs }
+
 // Injector returns the cluster's shared fault injector (nil when fault
 // injection is disabled).
 func (c *Cluster) Injector() *faults.Injector { return c.inj }
@@ -424,9 +430,10 @@ func (c *Cluster) CrashPlan(occasions int) []faults.Crash {
 }
 
 // RestartNode replaces a crashed node with a fresh VM (empty heap, empty
-// page store) and re-opens its mailbox. The dead VM's memory/GC statistics
-// are folded into the cluster's retired books first, so aggregate stats
-// span the whole run, not just the surviving incarnations.
+// page store) and re-opens its mailbox, counting recovery.node_restarts.
+// The dead VM's memory/GC statistics are folded into the cluster's retired
+// books first, so aggregate stats span the whole run, not just the
+// surviving incarnations.
 func (c *Cluster) RestartNode(id int) error {
 	old := c.Nodes[id]
 	c.retiredMu.Lock()
@@ -434,7 +441,6 @@ func (c *Cluster) RestartNode(id int) error {
 	c.retired.GCTime += hs.GCTime
 	c.retired.MinorGCs += hs.MinorGCs
 	c.retired.FullGCs += hs.FullGCs
-	c.restarts++
 	c.retiredMu.Unlock()
 	old.Main.Close()
 	n, err := c.newNode(id)
@@ -443,14 +449,8 @@ func (c *Cluster) RestartNode(id int) error {
 	}
 	c.Nodes[id] = n
 	c.Net.Revive(id)
+	c.obs.Counter(obs.CtrNodeRestarts).Inc()
 	return nil
-}
-
-// Restarts returns how many nodes have been rebuilt by RestartNode.
-func (c *Cluster) Restarts() int64 {
-	c.retiredMu.Lock()
-	defer c.retiredMu.Unlock()
-	return c.restarts
 }
 
 // Close releases node threads.
@@ -500,7 +500,7 @@ func (c *Cluster) Stats() Stats {
 
 // ObsSnapshots returns every node's observability snapshot, indexed by
 // node ID (each node's VM has a private registry; a restarted node reports
-// its current incarnation).
+// its current incarnation). The recovery book is on Obs instead.
 func (c *Cluster) ObsSnapshots() []obs.Snapshot {
 	out := make([]obs.Snapshot, len(c.Nodes))
 	for i, n := range c.Nodes {

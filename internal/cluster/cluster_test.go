@@ -10,6 +10,7 @@ import (
 	"repro/internal/ir"
 	"repro/internal/lang"
 	"repro/internal/lower"
+	"repro/internal/obs"
 	"repro/internal/stdlib"
 	"repro/internal/vm"
 )
@@ -276,8 +277,8 @@ func TestCrashBlackHolesAndRestartRevives(t *testing.T) {
 	if cl.Nodes[1].VM == oldVM {
 		t.Fatal("restart did not build a fresh VM")
 	}
-	if cl.Restarts() != 1 {
-		t.Fatalf("restarts = %d", cl.Restarts())
+	if n := cl.Obs().Counter(obs.CtrNodeRestarts).Load(); n != 1 {
+		t.Fatalf("restarts = %d", n)
 	}
 	// Both the pre-crash queued frame and the black-holed frame are gone.
 	if f, ok := cl.Net.TryRecv(1); ok {

@@ -28,6 +28,7 @@
 package faults
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -35,6 +36,12 @@ import (
 	"sync"
 	"time"
 )
+
+// ErrInjected marks every failure a fault point caused: the injection
+// sites wrap it alongside the error they model (heap.ErrOutOfMemory,
+// offheap.ErrPageExhausted), so callers can tell an injected failure —
+// transient, a re-run can succeed — from a genuine one with errors.Is.
+var ErrInjected = errors.New("injected fault")
 
 // Point names one fault-injection site.
 type Point string
@@ -242,6 +249,22 @@ func Parse(spec string) (Config, error) {
 type Crash struct {
 	Occasion int
 	Node     int
+}
+
+// Pending is the not-yet-fired part of a crash plan. Take consumes an
+// entry, so an occasion replayed after a recovery rewind does not fire
+// its crash again.
+type Pending []Crash
+
+// Take removes and returns the first pending crash planned for occasion.
+func (p *Pending) Take(occasion int) (Crash, bool) {
+	for i, c := range *p {
+		if c.Occasion == occasion {
+			*p = append((*p)[:i:i], (*p)[i+1:]...)
+			return c, true
+		}
+	}
+	return Crash{}, false
 }
 
 // Injector evaluates fault points against a Config. All methods are safe

@@ -147,6 +147,31 @@ func TestCrashPlanMidRunAndDeterministic(t *testing.T) {
 	}
 }
 
+// TestPendingFiresEachCrashOnce: a replayed occasion does not re-fire
+// its crash, and the plan it came from is left untouched.
+func TestPendingFiresEachCrashOnce(t *testing.T) {
+	plan := []Crash{{Occasion: 1, Node: 0}, {Occasion: 3, Node: 2}, {Occasion: 3, Node: 1}}
+	p := Pending(plan)
+	if _, ok := p.Take(2); ok {
+		t.Fatal("took a crash for an unplanned occasion")
+	}
+	for _, want := range []Crash{plan[1], plan[2]} {
+		c, ok := p.Take(3)
+		if !ok || c != want {
+			t.Fatalf("Take(3) = %+v, %v; want %+v", c, ok, want)
+		}
+	}
+	if _, ok := p.Take(3); ok {
+		t.Fatal("occasion 3 fired a third crash")
+	}
+	if c, ok := p.Take(1); !ok || c != plan[0] {
+		t.Fatalf("Take(1) = %+v, %v", c, ok)
+	}
+	if len(p) != 0 || plan[1] != (Crash{Occasion: 3, Node: 2}) {
+		t.Fatalf("pending %+v, plan %+v", p, plan)
+	}
+}
+
 func TestForNodeDistinctStreams(t *testing.T) {
 	base := Config{Seed: 5, AllocProb: 0.5}
 	a := New(&Config{Seed: base.ForNode(0).Seed, AllocProb: 0.5})

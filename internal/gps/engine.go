@@ -2,19 +2,15 @@ package gps
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
-	"strings"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/datagen"
 	"repro/internal/faults"
-	"repro/internal/heap"
 	"repro/internal/ir"
 	"repro/internal/obs"
-	"repro/internal/offheap"
 	"repro/internal/vm"
 )
 
@@ -69,23 +65,6 @@ type Config struct {
 	RecvTimeout time.Duration
 }
 
-// Recovery counts the fault-tolerance work a run performed.
-type Recovery struct {
-	Checkpoints        int64 // superstep checkpoints taken
-	CheckpointBytes    int64 // codec-encoded checkpoint payload, summed
-	CheckpointsDropped int64 // superseded checkpoints released
-	Restores           int64 // checkpoint restores (one per recovery)
-	NodeRestarts       int64 // node VMs rebuilt from scratch
-	Crashes            int64 // planned whole-node crashes survived
-	OOMRecoveries      int64 // out-of-memory failures recovered
-
-	// RetainedCheckpointsHW is the largest number of checkpoints held at
-	// once. The engine keeps only the newest, so it never exceeds 1 —
-	// the retention bug this field guards against was holding one full
-	// snapshot per superstep for the whole run.
-	RetainedCheckpointsHW int64
-}
-
 // Result reports one run (§4.3's ET/GT/space comparison).
 type Result struct {
 	ET         time.Duration
@@ -98,10 +77,13 @@ type Result struct {
 	Values     []float64 // final vertex values / point assignments
 	Centroids  [][2]float64
 
-	// Recovery and Net report the run's fault-tolerance activity; both
-	// are zero for a fault-free run.
-	Recovery Recovery
-	Net      cluster.NetStats
+	// Net reports the network's traffic and injected misbehavior.
+	Net cluster.NetStats
+
+	// Obs is the cluster-scoped snapshot: the run's recovery book
+	// (recovery.* counters, all absent for a fault-free run) and its
+	// checkpoint and recovery events.
+	Obs obs.Snapshot
 
 	// NodeObs holds each node's observability snapshot (indexed by node
 	// ID); supersteps appear as EvIteration events in each.
@@ -193,11 +175,9 @@ type engine struct {
 	parts    []*partition
 	states   []*nodeState
 	vertices int // graph vertex count (walker seeding)
-	plan     []faults.Crash
-	planned  []bool // plan entries already fired (a crash fires once)
-	ckpt     *checkpoint
+	crashes  faults.Pending
+	ckpt     *checkpoint // the one retained checkpoint
 	replays  map[int]int // recovery attempts per failing superstep
-	rec      Recovery
 }
 
 // Run executes the job and returns metrics plus final values (vertex
@@ -246,10 +226,9 @@ func Run(prog *ir.Program, g *datagen.Graph, cfg Config) (*Result, error) {
 		parts:    partitionGraph(g, cfg.Nodes, initVal),
 		states:   make([]*nodeState, cfg.Nodes),
 		vertices: g.NumVertices,
-		plan:     cl.CrashPlan(cfg.Supersteps),
+		crashes:  cl.CrashPlan(cfg.Supersteps),
 		replays:  make(map[int]int),
 	}
-	e.planned = make([]bool, len(e.plan))
 	start := time.Now()
 
 	// Build partitions inside the VMs (before any iteration: vertex
@@ -294,26 +273,12 @@ func Run(prog *ir.Program, g *datagen.Graph, cfg Config) (*Result, error) {
 	}
 	res := resultFrom(cl, start)
 	res.Values = values
-	res.Recovery = e.rec
 	return res, nil
 }
 
 // tolerant reports whether the run checkpoints and recovers (any fault
 // injection enabled). A fault-free run pays nothing for the machinery.
 func (e *engine) tolerant() bool { return e.cl.Injector() != nil }
-
-// takeCrash returns the planned crash for this superstep, if any,
-// consuming the plan entry: a replay of the same superstep after a
-// multi-step rewind must not re-fire it.
-func (e *engine) takeCrash(step int) *faults.Crash {
-	for i := range e.plan {
-		if e.plan[i].Occasion == step && !e.planned[i] {
-			e.planned[i] = true
-			return &e.plan[i]
-		}
-	}
-	return nil
-}
 
 // seedWalkers plants cfg.Walkers walkers round-robin across vertices by
 // calling GPSDriver.seedWalkers on each owning node. Seeded walkers live
@@ -347,17 +312,11 @@ func (e *engine) seedWalkers() error {
 // superstep count.
 func (e *engine) retain(c *checkpoint) {
 	if old := e.ckpt; old != nil {
-		e.rec.CheckpointsDropped++
-		for _, n := range e.cl.Nodes {
-			reg := n.VM.Obs()
-			reg.Counter(obs.CtrCheckpointsDropped).Inc()
-			reg.Emit(obs.EvCheckpoint, "drop", int64(old.step), int64(len(old.vals[n.ID])), int64(n.ID))
-		}
+		reg := e.cl.Obs()
+		reg.Counter(obs.CtrCheckpointsDropped).Inc()
+		reg.Emit(obs.EvCheckpoint, "drop", int64(old.step), old.bytes(), 0)
 	}
 	e.ckpt = c
-	if e.rec.RetainedCheckpointsHW < 1 {
-		e.rec.RetainedCheckpointsHW = 1
-	}
 }
 
 // buildNodeState (re)builds one node's VM-side partition state. vals
@@ -438,11 +397,11 @@ func (e *engine) runSuperstep(step int) (int, error) {
 		}
 		e.retain(c)
 	}
-	if crash := e.takeCrash(step); crash != nil {
+	if crash, ok := e.crashes.Take(step); ok {
 		// The node dies mid-superstep: it computes nothing and its
 		// mailbox black-holes, while the surviving nodes finish their
 		// compute and send into the void.
-		e.rec.Crashes++
+		e.cl.Obs().Counter(obs.CtrCrashes).Inc()
 		e.cl.Net.Crash(crash.Node)
 		if err := e.compute(step, crash.Node); err != nil {
 			return 0, err
@@ -457,10 +416,10 @@ func (e *engine) runSuperstep(step int) (int, error) {
 		return step + 1, nil
 	}
 	ne := cluster.FirstNodeError(err)
-	if e.ckpt == nil || ne == nil || !isOOM(ne.Err) {
+	if e.ckpt == nil || ne == nil || !vm.IsOOM(ne.Err) {
 		return 0, err
 	}
-	e.rec.OOMRecoveries++
+	e.cl.Obs().Counter(obs.CtrOOMRecoveries).Inc()
 	return e.recoverAndRewind(step, ne.ID, "oom")
 }
 
@@ -543,20 +502,26 @@ func (e *engine) takeCheckpoint(step int) (*checkpoint, error) {
 		ck.vals[n.ID] = buf
 		ck.incoming[n.ID] = append([][]byte(nil), st.incoming...)
 		ck.rng[n.ID] = n.VM.RandState()
-		reg := n.VM.Obs()
-		reg.Counter(obs.CtrCheckpoints).Inc()
-		reg.Counter(obs.CtrCheckpointBytes).Add(int64(len(buf)))
-		reg.Emit(obs.EvCheckpoint, "save", int64(step), int64(len(buf)), int64(n.ID))
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	e.rec.Checkpoints++
-	for _, b := range ck.vals {
-		e.rec.CheckpointBytes += int64(len(b))
-	}
+	reg, n := e.cl.Obs(), ck.bytes()
+	reg.Counter(obs.CtrCheckpoints).Inc()
+	reg.Counter(obs.CtrCheckpointBytes).Add(n)
+	reg.Emit(obs.EvCheckpoint, "save", int64(step), n, 0)
 	return ck, nil
+}
+
+// bytes is the checkpoint's codec-encoded vertex payload, summed over
+// nodes.
+func (c *checkpoint) bytes() int64 {
+	var n int64
+	for _, b := range c.vals {
+		n += int64(len(b))
+	}
+	return n
 }
 
 // recover rebuilds the failed node with a fresh VM, discards the aborted
@@ -566,11 +531,7 @@ func (e *engine) recover(step int, ckpt *checkpoint, failed int, kind string) er
 	if err := e.cl.RestartNode(failed); err != nil {
 		return err
 	}
-	e.rec.NodeRestarts++
-	e.rec.Restores++
-	reg := e.cl.Nodes[failed].VM.Obs()
-	reg.Counter(obs.CtrNodeRestarts).Inc()
-	reg.Emit(obs.EvRecovery, kind, int64(failed), int64(step), 0)
+	e.cl.Obs().Emit(obs.EvRecovery, kind, int64(failed), int64(step), 0)
 	// The aborted attempt's frames (sent by surviving nodes before the
 	// failure surfaced) are stale: the replay will resend them.
 	for id := range e.cl.Nodes {
@@ -601,14 +562,14 @@ func (e *engine) restore(ckpt *checkpoint) error {
 		}
 		e.states[n.ID].incoming = ckpt.incoming[n.ID]
 		n.VM.SetRandState(ckpt.rng[n.ID])
-		reg := n.VM.Obs()
-		reg.Counter(obs.CtrRestores).Inc()
-		reg.Emit(obs.EvCheckpoint, "restore", int64(ckpt.step), int64(len(buf)), int64(n.ID))
 		return nil
 	})
 	if err != nil {
 		return err
 	}
+	reg := e.cl.Obs()
+	reg.Counter(obs.CtrRestores).Inc()
+	reg.Emit(obs.EvCheckpoint, "restore", int64(ckpt.step), ckpt.bytes(), 0)
 	// Seeded walkers live in vertex message lists, which buildNodeState
 	// rebuilds empty; a rewind to the pre-step-0 state must replant them.
 	if ckpt.step == 0 && e.cfg.App == RandomWalk {
@@ -629,15 +590,6 @@ func readValues(n *cluster.Node, st *nodeState) ([]float64, error) {
 		return nil, err
 	}
 	return t.ReadDoubleArr(out)
-}
-
-// isOOM classifies memory-exhaustion failures — real or injected, managed
-// heap or page store — which the engine recovers from; anything else is a
-// genuine bug and propagates.
-func isOOM(err error) bool {
-	return errors.Is(err, heap.ErrOutOfMemory) ||
-		errors.Is(err, offheap.ErrPageExhausted) ||
-		strings.Contains(err.Error(), "OutOfMemoryError")
 }
 
 // superstep runs one node's compute phase and sends one frame per peer.
@@ -771,6 +723,7 @@ func resultFrom(cl *cluster.Cluster, start time.Time) *Result {
 		FullGCs:    st.FullGCs,
 		Net:        cl.Net.Stats(),
 		NodeObs:    cl.ObsSnapshots(),
+		Obs:        cl.Obs().Snapshot(),
 	}
 }
 

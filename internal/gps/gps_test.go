@@ -10,6 +10,7 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/faults"
 	"repro/internal/ir"
+	"repro/internal/obs"
 )
 
 // coreTransformDevirt builds the GPS data path with devirtualization on.
@@ -215,8 +216,8 @@ func TestPageRankFaultMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s fault-free: %v", name, err)
 		}
-		if clean.Recovery != (Recovery{}) {
-			t.Fatalf("%s fault-free run reports recovery work: %+v", name, clean.Recovery)
+		if rec := clean.Obs.Recovery(); len(rec) != 0 {
+			t.Fatalf("%s fault-free run reports recovery work: %v", name, rec)
 		}
 		for _, tc := range cases {
 			t.Run(name+"/"+tc.name, func(t *testing.T) {
@@ -237,9 +238,10 @@ func TestPageRankFaultMatrix(t *testing.T) {
 							v, clean.Values[v], res.Values[v])
 					}
 				}
-				if res.Recovery.Checkpoints != int64(base.Supersteps) {
+				book := res.Obs.Counters
+				if book[obs.CtrCheckpoints] != int64(base.Supersteps) {
 					t.Fatalf("checkpoints = %d, want one per superstep (%d)",
-						res.Recovery.Checkpoints, base.Supersteps)
+						book[obs.CtrCheckpoints], base.Supersteps)
 				}
 				if fc.Drop > 0 && res.Net.Retries == 0 {
 					t.Fatal("drop injection produced no retries")
@@ -248,9 +250,9 @@ func TestPageRankFaultMatrix(t *testing.T) {
 					t.Fatal("dup injection produced no dedups")
 				}
 				if fc.Crashes > 0 {
-					if res.Recovery.Crashes < 1 || res.Recovery.NodeRestarts < 1 ||
-						res.Recovery.Restores < 1 {
-						t.Fatalf("crash not reflected in recovery stats: %+v", res.Recovery)
+					if book[obs.CtrCrashes] < 1 || book[obs.CtrNodeRestarts] < 1 ||
+						book[obs.CtrRestores] < 1 {
+						t.Fatalf("crash not reflected in recovery stats: %v", res.Obs.Recovery())
 					}
 				}
 			})
@@ -284,8 +286,8 @@ func TestPageRankOOMNodeRecovers(t *testing.T) {
 				v, clean.Values[v], res.Values[v])
 		}
 	}
-	if res.Recovery.OOMRecoveries < 1 || res.Recovery.Restores < 1 {
-		t.Fatalf("expected OOM recovery in stats: %+v", res.Recovery)
+	if book := res.Obs.Counters; book[obs.CtrOOMRecoveries] < 1 || book[obs.CtrRestores] < 1 {
+		t.Fatalf("expected OOM recovery in stats: %v", res.Obs.Recovery())
 	}
 }
 
@@ -315,8 +317,8 @@ func TestRandomWalkCrashReplayBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s %s: %v", name, spec, err)
 			}
-			if res.Recovery.Crashes < int64(fc.Crashes) {
-				t.Fatalf("%s %s: planned crashes not fired: %+v", name, spec, res.Recovery)
+			if res.Obs.Counters[obs.CtrCrashes] < int64(fc.Crashes) {
+				t.Fatalf("%s %s: planned crashes not fired: %v", name, spec, res.Obs.Recovery())
 			}
 			for v := range clean.Values {
 				if res.Values[v] != clean.Values[v] {
@@ -328,9 +330,14 @@ func TestRandomWalkCrashReplayBitIdentical(t *testing.T) {
 	}
 }
 
-// TestCheckpointRetentionBounded asserts the retention fix: a tolerant
+// TestCheckpointRetentionBounded asserts the retention fix — a tolerant
 // run holds at most one checkpoint at a time, dropping the superseded
-// snapshot as each successor is taken.
+// snapshot as each successor is taken — and that the recovery book
+// survives node restarts: it lives on the cluster's registry, so the
+// crash whose recovery replaces the dead node's VM (and that VM's
+// registry) loses no count. Every superstep boundary checkpoints once
+// (the rewound superstep reuses its checkpoint) and all but the last
+// checkpoint are dropped.
 func TestCheckpointRetentionBounded(t *testing.T) {
 	p, _ := programs(t)
 	g := datagen.PowerLawGraph(250, 2000, 7)
@@ -341,13 +348,27 @@ func TestCheckpointRetentionBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Recovery.RetainedCheckpointsHW > 1 {
-		t.Fatalf("retained-checkpoint high-water = %d, want <= 1", res.Recovery.RetainedCheckpointsHW)
+	book := res.Obs.Counters
+	want := map[string]int64{
+		obs.CtrCheckpoints:        int64(cfg.Supersteps),
+		obs.CtrCheckpointsDropped: int64(cfg.Supersteps) - 1,
+		obs.CtrCrashes:            1,
+		obs.CtrNodeRestarts:       1,
+		obs.CtrRestores:           1,
 	}
-	// Every checkpoint but the final one must have been dropped.
-	if want := res.Recovery.Checkpoints - 1; res.Recovery.CheckpointsDropped != want {
-		t.Fatalf("checkpoints dropped = %d, want %d (of %d taken)",
-			res.Recovery.CheckpointsDropped, want, res.Recovery.Checkpoints)
+	for name, n := range want {
+		if book[name] != n {
+			t.Errorf("%s = %d, want %d (book %v)", name, book[name], n, res.Obs.Recovery())
+		}
+	}
+	saves := 0
+	for _, ev := range res.Obs.Events {
+		if ev.Kind == obs.EvCheckpoint && ev.Label == "save" {
+			saves++
+		}
+	}
+	if int64(saves) != book[obs.CtrCheckpoints] {
+		t.Errorf("%d checkpoint save events, %d counted", saves, book[obs.CtrCheckpoints])
 	}
 }
 
@@ -380,17 +401,15 @@ func TestCheckpointIntervalReplays(t *testing.T) {
 		}
 		// Supersteps 0 and 2 checkpoint; the crash replays from one of
 		// them without re-taking it.
-		if res.Recovery.Checkpoints != 2 {
-			t.Fatalf("%v: checkpoints = %d, want 2 (every 2nd superstep)", app, res.Recovery.Checkpoints)
+		book := res.Obs.Counters
+		if book[obs.CtrCheckpoints] != 2 {
+			t.Fatalf("%v: checkpoints = %d, want 2 (every 2nd superstep)", app, book[obs.CtrCheckpoints])
 		}
-		if res.Recovery.CheckpointsDropped != 1 {
-			t.Fatalf("%v: checkpoints dropped = %d, want 1", app, res.Recovery.CheckpointsDropped)
+		if book[obs.CtrCheckpointsDropped] != 1 {
+			t.Fatalf("%v: checkpoints dropped = %d, want 1", app, book[obs.CtrCheckpointsDropped])
 		}
-		if res.Recovery.RetainedCheckpointsHW > 1 {
-			t.Fatalf("%v: retained high-water = %d, want <= 1", app, res.Recovery.RetainedCheckpointsHW)
-		}
-		if res.Recovery.Crashes != 1 || res.Recovery.Restores < 1 {
-			t.Fatalf("%v: crash recovery missing from stats: %+v", app, res.Recovery)
+		if book[obs.CtrCrashes] != 1 || book[obs.CtrRestores] < 1 {
+			t.Fatalf("%v: crash recovery missing from stats: %v", app, res.Obs.Recovery())
 		}
 		if app == PageRank {
 			for v := range clean.Values {

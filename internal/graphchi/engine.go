@@ -3,12 +3,10 @@ package graphchi
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/faults"
-	"repro/internal/heap"
 	"repro/internal/ir"
 	"repro/internal/obs"
 	"repro/internal/offheap"
@@ -69,17 +67,6 @@ type Config struct {
 	Tiering *offheap.TierConfig
 }
 
-// Recovery counts the fault-tolerance work a run performed. The shard
-// files plus the vertex values at the interval boundary are a complete
-// checkpoint, so every recovery here is a replay from that state.
-type Recovery struct {
-	IntervalRetries int64 // failed sub-iterations replayed from the shard
-	WorkerCrashes   int64 // planned worker-thread crashes survived
-	WorkerRestarts  int64 // update worker threads rebuilt
-	OOMRecoveries   int64 // memory-exhaustion failures recovered
-	BudgetHalvings  int64 // degradation-ladder budget halvings
-}
-
 // Metrics are the measurements Table 2 reports, plus the object counters
 // behind the paper's §4.1 object-bound claim.
 type Metrics struct {
@@ -104,12 +91,10 @@ type Metrics struct {
 	PagesPromoted int64
 	Edges         int64 // edges processed (NumEdges * Iterations)
 
-	// Recovery reports the run's fault-tolerance activity (all zero for
-	// a failure-free run).
-	Recovery Recovery
-
 	// Obs is the run's full observability snapshot (GC pause histograms,
-	// safepoint waits, page counters, interpreter counters, event ring).
+	// safepoint waits, page counters, interpreter counters, event ring)
+	// and its recovery book: the recovery.* counters, all absent for a
+	// failure-free run.
 	Obs obs.Snapshot
 	// ClassAllocs counts heap allocations per class/array type.
 	ClassAllocs map[string]int64
@@ -128,7 +113,7 @@ func (m *Metrics) Throughput() float64 {
 const maxIntervalReplays = 64
 
 // engine carries one run's control-path state: the VM boundary objects,
-// the worker pool, and the recovery books.
+// the worker pool, and the crash plan.
 type engine struct {
 	machine *vm.VM
 	main    *vm.Thread
@@ -137,12 +122,8 @@ type engine struct {
 	sg      *ShardedGraph
 	cfg     Config
 
-	inj     *faults.Injector
-	plan    []faults.Crash // planned worker crashes, by sub-iteration ordinal
-	planned []bool         // plan entries already fired
+	crashes faults.Pending // planned worker crashes, by sub-iteration ordinal
 	subIter int            // global sub-iteration ordinal (crash occasions)
-
-	rec Recovery
 }
 
 // Run executes cfg.Iterations passes of the vertex program over sg on the
@@ -169,7 +150,7 @@ func Run(machine *vm.VM, sg *ShardedGraph, cfg Config) (*Metrics, []float64, err
 	}
 	defer main.Close()
 
-	e := &engine{machine: machine, main: main, sg: sg, cfg: cfg, inj: machine.Injector()}
+	e := &engine{machine: machine, main: main, sg: sg, cfg: cfg}
 	e.pool, err = newWorkerPool(machine, main, cfg.Workers)
 	if err != nil {
 		return nil, nil, err
@@ -193,8 +174,7 @@ func Run(machine *vm.VM, sg *ShardedGraph, cfg Config) (*Metrics, []float64, err
 	}
 
 	intervals := sg.Intervals(cfg.MemoryBudget / cfg.BytesPerEdge)
-	e.plan = e.inj.CrashPlan(cfg.Iterations*len(intervals), cfg.Workers)
-	e.planned = make([]bool, len(e.plan))
+	e.crashes = machine.Injector().CrashPlan(cfg.Iterations*len(intervals), cfg.Workers)
 	met := &Metrics{Edges: int64(sg.NumEdges()) * int64(cfg.Iterations)}
 	start := time.Now()
 
@@ -232,7 +212,6 @@ func Run(machine *vm.VM, sg *ShardedGraph, cfg Config) (*Metrics, []float64, err
 	met.PM = met.HeapPeak + met.NativePeak
 	met.DataObjects = countDataObjects(machine)
 	met.ClassAllocs = machine.Heap.ClassAllocCounts()
-	met.Recovery = e.rec
 	met.Obs = reg.Snapshot()
 	return met, values, nil
 }
@@ -270,18 +249,6 @@ func countDataObjects(machine *vm.VM) int64 {
 	return n
 }
 
-// takeCrash returns the planned worker crash for this sub-iteration, if
-// any, consuming the plan entry so a replay does not re-fire it.
-func (e *engine) takeCrash() *faults.Crash {
-	for i := range e.plan {
-		if e.plan[i].Occasion == e.subIter && !e.planned[i] {
-			e.planned[i] = true
-			return &e.plan[i]
-		}
-	}
-	return nil
-}
-
 // runInterval executes one sub-iteration with recovery: the ShardedGraph
 // plus values[a:b] at entry are a complete checkpoint, so a failed attempt
 // is replayed from them — with fresh worker threads after a crash, and at
@@ -296,7 +263,7 @@ func (e *engine) runInterval(iv [2]int, values []float64, met *Metrics) error {
 	}
 	budget := e.cfg.MemoryBudget
 	crashChunk := -1
-	if crash := e.takeCrash(); crash != nil {
+	if crash, ok := e.crashes.Take(e.subIter); ok {
 		crashChunk = crash.Node
 	}
 	reg := e.machine.Obs()
@@ -314,26 +281,23 @@ func (e *engine) runInterval(iv [2]int, values []float64, met *Metrics) error {
 		case errors.Is(err, errWorkerCrashed):
 			// Rebuild the update fleet from scratch and replay the
 			// sub-iteration from the shard.
-			e.rec.WorkerCrashes++
-			e.rec.IntervalRetries++
+			reg.Counter(obs.CtrCrashes).Inc()
 			reg.Counter(obs.CtrIntervalRetries).Inc()
 			reg.Emit(obs.EvRecovery, "crash", int64(workerOf(err)), int64(e.subIter), int64(attempt))
 			if rerr := e.restartPool(); rerr != nil {
 				return fmt.Errorf("rebuilding workers after crash: %w", rerr)
 			}
-		case isOOM(err):
+		case vm.IsOOM(err):
 			// Degradation ladder: halve the budget for this interval and
 			// re-split it; a single vertex that still does not fit is a
 			// genuine out-of-memory result.
-			e.rec.OOMRecoveries++
-			e.rec.IntervalRetries++
+			reg.Counter(obs.CtrOOMRecoveries).Inc()
 			reg.Counter(obs.CtrIntervalRetries).Inc()
 			reg.Emit(obs.EvRecovery, "oom", -1, int64(e.subIter), int64(attempt))
 			if budget/2/e.cfg.BytesPerEdge < 1 {
 				return fmt.Errorf("out of memory with budget ladder exhausted (budget %d): %w", budget, err)
 			}
 			budget /= 2
-			e.rec.BudgetHalvings++
 			reg.Counter(obs.CtrBudgetHalvings).Inc()
 			reg.Emit(obs.EvDegraded, "interval", int64(iv[0]), budget/e.cfg.BytesPerEdge, int64(e.subIter))
 		default:
@@ -470,9 +434,7 @@ func (e *engine) restartPool() error {
 		return err
 	}
 	e.pool = pool
-	e.rec.WorkerRestarts += int64(e.cfg.Workers)
-	reg := e.machine.Obs()
-	reg.Counter(obs.CtrWorkerRestarts).Add(int64(e.cfg.Workers))
+	e.machine.Obs().Counter(obs.CtrWorkerRestarts).Add(int64(e.cfg.Workers))
 	return nil
 }
 
@@ -492,15 +454,6 @@ func workerOf(err error) int {
 		return ce.worker
 	}
 	return -1
-}
-
-// isOOM classifies memory-exhaustion failures — real or injected, managed
-// heap or page store — which the engine recovers from; anything else is a
-// genuine bug and propagates.
-func isOOM(err error) bool {
-	return errors.Is(err, heap.ErrOutOfMemory) ||
-		errors.Is(err, offheap.ErrPageExhausted) ||
-		strings.Contains(err.Error(), "OutOfMemoryError")
 }
 
 // ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/faults"
 	"repro/internal/ir"
+	"repro/internal/obs"
 	"repro/internal/offheap"
 	"repro/internal/vm"
 )
@@ -361,8 +362,8 @@ func TestFaultMatrixIntervalRecovery(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v/%s fault-free: %v", ac.app, name, err)
 			}
-			if clean.Recovery != (Recovery{}) {
-				t.Fatalf("%v/%s fault-free run reports recovery work: %+v", ac.app, name, clean.Recovery)
+			if rec := clean.Obs.Recovery(); len(rec) != 0 {
+				t.Fatalf("%v/%s fault-free run reports recovery work: %v", ac.app, name, rec)
 			}
 			for _, tc := range cases {
 				if tc.only != "" && tc.only != name {
@@ -371,11 +372,18 @@ func TestFaultMatrixIntervalRecovery(t *testing.T) {
 				t.Run(ac.app.String()+"/"+name+"/"+tc.name, func(t *testing.T) {
 					fc := tc.faults
 					cfg := base
-					cfg.Faults = &fc
+					// Built here rather than by RunProgram so the
+					// injector's fire counts can audit the book.
+					inj := faults.New(&fc)
+					vmCfg := vm.Config{HeapSize: 48 << 20, Faults: inj}
 					if tc.tiered {
-						cfg.Tiering = &offheap.TierConfig{Dir: t.TempDir(), HighWater: 2, LowWater: 1}
+						vmCfg.Tiering = &offheap.TierConfig{Dir: t.TempDir(), HighWater: 2, LowWater: 1}
 					}
-					met, vals, err := RunProgram(prog, 48<<20, sg, cfg)
+					machine, err := vm.New(prog, vmCfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					met, vals, err := Run(machine, sg, cfg)
 					if err != nil {
 						t.Fatalf("faulty run: %v", err)
 					}
@@ -388,23 +396,32 @@ func TestFaultMatrixIntervalRecovery(t *testing.T) {
 								v, cleanVals[v], vals[v])
 						}
 					}
-					rec := met.Recovery
-					if rec.IntervalRetries < 1 {
-						t.Fatalf("no interval replayed: %+v", rec)
+					book, rec := met.Obs.Counters, met.Obs.Recovery()
+					if book[obs.CtrIntervalRetries] < 1 {
+						t.Fatalf("no interval replayed: %v", rec)
 					}
 					if fc.Crashes > 0 {
-						if rec.WorkerCrashes < int64(fc.Crashes) || rec.WorkerRestarts < int64(cfg.Workers) {
-							t.Fatalf("crash not reflected in recovery stats: %+v", rec)
+						if book[obs.CtrCrashes] < int64(fc.Crashes) || book[obs.CtrWorkerRestarts] < int64(cfg.Workers) {
+							t.Fatalf("crash not reflected in recovery stats: %v", rec)
 						}
 					}
 					if fc.AllocAt > 0 || fc.PageAt > 0 || fc.TierLoadAt > 0 {
-						if rec.OOMRecoveries < 1 || rec.BudgetHalvings < 1 {
-							t.Fatalf("OOM degradation ladder not exercised: %+v", rec)
+						if book[obs.CtrOOMRecoveries] < 1 || book[obs.CtrBudgetHalvings] < 1 {
+							t.Fatalf("OOM degradation ladder not exercised: %v", rec)
 						}
 					}
-					// The counters surface through obs too.
-					if c := met.Obs.Counters["recovery.interval_retries"]; c != rec.IntervalRetries {
-						t.Fatalf("obs interval_retries = %d, Recovery says %d", c, rec.IntervalRetries)
+					// The book balances against the injection side: each
+					// replay has one cause, and each OOM recovery is one
+					// fired memory fault.
+					fires := inj.Fires()
+					injected := fires[string(faults.HeapAlloc)] + fires[string(faults.PageAcquire)] +
+						fires[string(faults.TierLoad)]
+					if book[obs.CtrOOMRecoveries] != injected {
+						t.Fatalf("oom_recoveries = %d, injector fired %d memory faults (%v)",
+							book[obs.CtrOOMRecoveries], injected, fires)
+					}
+					if c := book[obs.CtrIntervalRetries]; c != book[obs.CtrCrashes]+book[obs.CtrOOMRecoveries] {
+						t.Fatalf("interval_retries = %d, want crashes + oom_recoveries (%v)", c, rec)
 					}
 				})
 			}
@@ -519,7 +536,7 @@ func TestBudgetLadderExhaustionIsOME(t *testing.T) {
 	if err == nil {
 		t.Fatal("run survived unrecoverable allocation failure")
 	}
-	if !isOOM(err) {
+	if !vm.IsOOM(err) {
 		t.Fatalf("want an out-of-memory classification, got: %v", err)
 	}
 }

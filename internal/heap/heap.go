@@ -331,7 +331,8 @@ func (hp *Heap) Reset(reg *obs.Registry, inj *faults.Injector) error {
 
 // injectAllocFault consults the fault injector; when the heap.alloc point
 // fires, the allocation fails with ErrOutOfMemory (wrapped, so errors.Is
-// matches and the failure rides the same rails as a true exhaustion).
+// matches and the failure rides the same rails as a true exhaustion) and
+// faults.ErrInjected (so a retry policy can tell it from a real one).
 func (hp *Heap) injectAllocFault() error {
 	if hp.inj == nil || !hp.inj.Fire(faults.HeapAlloc) {
 		return nil
@@ -339,7 +340,7 @@ func (hp *Heap) injectAllocFault() error {
 	n := hp.cFaultsInj.Load() + 1
 	hp.cFaultsInj.Inc()
 	hp.obs.Emit(obs.EvFault, string(faults.HeapAlloc), n, 0, 0)
-	return fmt.Errorf("%w (injected fault)", ErrOutOfMemory)
+	return fmt.Errorf("%w (%w)", ErrOutOfMemory, faults.ErrInjected)
 }
 
 // Obs returns the heap's observability registry.

@@ -1,17 +1,14 @@
 package hyracks
 
 import (
-	"errors"
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/dfs"
-	"repro/internal/heap"
 	"repro/internal/ir"
 	"repro/internal/obs"
-	"repro/internal/offheap"
+	"repro/internal/vm"
 )
 
 // Job is a MapReduce-style Hyracks job: every node maps its local
@@ -26,15 +23,6 @@ type Job interface {
 	// Reduce consumes the frames shuffled to this node and returns the
 	// node's output file contents.
 	Reduce(n *cluster.Node, frames [][]byte) ([]byte, error)
-}
-
-// Recovery counts the fault-tolerance work a job performed.
-type Recovery struct {
-	Crashes       int64 // planned whole-node crashes survived
-	NodeRestarts  int64 // node VMs rebuilt from scratch
-	TaskRetries   int64 // map/reduce tasks re-executed (same logical task)
-	TasksDegraded int64 // tasks drained to a healthy helper node
-	OOMRecoveries int64 // out-of-memory failures recovered
 }
 
 // Result reports one job run (a row of Table 3 plus the memory points of
@@ -55,10 +43,13 @@ type Result struct {
 	ShuffledMB  float64
 	OutputBytes int64
 
-	// Recovery and Net report the run's fault-tolerance activity; both
-	// are zero for a fault-free run.
-	Recovery Recovery
-	Net      cluster.NetStats
+	// Net reports the network's traffic and injected misbehavior.
+	Net cluster.NetStats
+
+	// Obs is the cluster-scoped snapshot: the job's recovery book
+	// (recovery.* counters, all absent for a fault-free run) and its
+	// recovery and degraded events.
+	Obs obs.Snapshot
 
 	// NodeObs holds each node's observability snapshot (indexed by node
 	// ID); the map/reduce phases appear as EvPhase events in each.
@@ -93,7 +84,7 @@ func RunJob(prog *ir.Program, job Job, parts [][]byte, ccfg cluster.Config, fair
 	res := &Result{Job: job.Name()}
 	start := time.Now()
 	reducers := len(cl.Nodes)
-	var rec Recovery
+	reg := cl.Obs()
 
 	mapTask := func(n *cluster.Node, logical int) error {
 		part := []byte{}
@@ -130,13 +121,13 @@ func RunJob(prog *ir.Program, job Job, parts [][]byte, ccfg cluster.Config, fair
 		if merr == nil {
 			continue
 		}
-		final, err := recoverTask(cl, &rec, "map", id, merr, mapErrs,
+		final, err := recoverTask(cl, "map", id, merr, mapErrs,
 			func(n *cluster.Node) error { return mapTask(n, id) })
 		if err != nil {
 			return nil, err
 		}
 		if final != nil {
-			return failOrErr(res, &rec, final, start, cl)
+			return failOrErr(res, final, start, cl)
 		}
 	}
 
@@ -183,41 +174,31 @@ func RunJob(prog *ir.Program, job Job, parts [][]byte, ccfg cluster.Config, fair
 		return nil
 	})
 	for id := range crashed {
-		rec.Crashes++
+		reg.Counter(obs.CtrCrashes).Inc()
 		cl.Net.Crash(id)
 		if err := cl.RestartNode(id); err != nil {
 			return nil, err
 		}
-		rec.NodeRestarts++
-		reg := cl.Nodes[id].VM.Obs()
-		reg.Counter(obs.CtrNodeRestarts).Inc()
 		reg.Counter(obs.CtrTaskRetries).Inc()
 		reg.Emit(obs.EvRecovery, "crash", int64(id), 1, 0)
-		rec.TaskRetries++
 		redErrs[id] = reduceTask(cl.Nodes[id], id)
 	}
 	for id, rerr := range redErrs {
 		if rerr == nil {
 			continue
 		}
-		final, err := recoverTask(cl, &rec, "reduce", id, rerr, redErrs,
+		final, err := recoverTask(cl, "reduce", id, rerr, redErrs,
 			func(n *cluster.Node) error { return reduceTask(n, id) })
 		if err != nil {
 			return nil, err
 		}
 		if final != nil {
-			return failOrErr(res, &rec, final, start, cl)
+			return failOrErr(res, final, start, cl)
 		}
 	}
 
 	res.ET = time.Since(start)
-	st := cl.Stats()
-	res.GT = st.GCTime
-	res.HeapPeak = st.MaxHeapPeak
-	res.NativePeak = st.MaxNative
-	res.PM = st.MaxTotal
-	res.MinorGCs = st.MinorGCs
-	res.FullGCs = st.FullGCs
+	fillBooks(res, cl)
 	res.ShuffledMB = float64(cl.Net.BytesSent()) / (1 << 20)
 	for _, p := range fs.List(fmt.Sprintf("/out/%s/", job.Name())) {
 		res.OutputBytes += int64(fs.Size(p))
@@ -226,10 +207,22 @@ func RunJob(prog *ir.Program, job Job, parts [][]byte, ccfg cluster.Config, fair
 		res.OME = true
 		res.OMEAt = res.ET
 	}
-	res.Recovery = rec
+	return res, nil
+}
+
+// fillBooks copies the cluster's memory, GC, network and recovery books
+// into res.
+func fillBooks(res *Result, cl *cluster.Cluster) {
+	st := cl.Stats()
+	res.GT = st.GCTime
+	res.HeapPeak = st.MaxHeapPeak
+	res.NativePeak = st.MaxNative
+	res.PM = st.MaxTotal
+	res.MinorGCs = st.MinorGCs
+	res.FullGCs = st.FullGCs
 	res.Net = cl.Net.Stats()
 	res.NodeObs = cl.ObsSnapshots()
-	return res, nil
+	res.Obs = cl.Obs().Snapshot()
 }
 
 // recoverTask runs the degradation ladder for a failed task: retry once on
@@ -237,25 +230,23 @@ func RunJob(prog *ir.Program, job Job, parts [][]byte, ccfg cluster.Config, fair
 // returns (finalErr, nil) when the ladder is exhausted and the failure
 // should be classified (OME or real), (nil, nil) when the task eventually
 // succeeded, and (nil, err) for infrastructure errors.
-func recoverTask(cl *cluster.Cluster, rec *Recovery, phase string, id int, taskErr error, peerErrs []error, run func(*cluster.Node) error) (error, error) {
-	if !isOOM(taskErr) {
+func recoverTask(cl *cluster.Cluster, phase string, id int, taskErr error, peerErrs []error, run func(*cluster.Node) error) (error, error) {
+	if !vm.IsOOM(taskErr) {
 		return taskErr, nil
 	}
-	rec.OOMRecoveries++
 	// Rung 1: retry on the same node. For transformed programs the failed
 	// attempt's iteration already released its pages (the forced
 	// page-recycle boundary); for P the dead attempt's objects are
 	// collectible garbage.
-	n := cl.Nodes[id]
-	reg := n.VM.Obs()
+	reg := cl.Obs()
+	reg.Counter(obs.CtrOOMRecoveries).Inc()
 	reg.Counter(obs.CtrTaskRetries).Inc()
 	reg.Emit(obs.EvRecovery, "oom", int64(id), 0, 0)
-	rec.TaskRetries++
-	retryErr := run(n)
+	retryErr := run(cl.Nodes[id])
 	if retryErr == nil {
 		return nil, nil
 	}
-	if !isOOM(retryErr) {
+	if !vm.IsOOM(retryErr) {
 		return retryErr, nil
 	}
 	// Rung 2: drain the task to a healthy node (one whose own task did not
@@ -265,47 +256,22 @@ func recoverTask(cl *cluster.Cluster, rec *Recovery, phase string, id int, taskE
 		if h == id || (h < len(peerErrs) && peerErrs[h] != nil) {
 			continue
 		}
-		helper := cl.Nodes[h]
-		hreg := helper.VM.Obs()
-		hreg.Counter(obs.CtrTasksDegraded).Inc()
-		hreg.Emit(obs.EvDegraded, phase, int64(id), int64(h), 0)
-		rec.TasksDegraded++
-		helpErr := run(helper)
-		if helpErr == nil {
-			return nil, nil
-		}
-		return helpErr, nil
+		reg.Counter(obs.CtrTasksDegraded).Inc()
+		reg.Emit(obs.EvDegraded, phase, int64(id), int64(h), 0)
+		return run(cl.Nodes[h]), nil
 	}
 	return retryErr, nil
 }
 
 // failOrErr classifies a phase error: OutOfMemoryError becomes an OME
 // result (a Table 3 data point); anything else is a real error.
-func failOrErr(res *Result, rec *Recovery, err error, start time.Time, cl *cluster.Cluster) (*Result, error) {
-	if isOOM(err) {
-		res.OME = true
-		res.OMEAt = time.Since(start)
-		res.ET = res.OMEAt
-		st := cl.Stats()
-		res.GT = st.GCTime
-		res.HeapPeak = st.MaxHeapPeak
-		res.NativePeak = st.MaxNative
-		res.PM = st.MaxTotal
-		res.MinorGCs = st.MinorGCs
-		res.FullGCs = st.FullGCs
-		res.Recovery = *rec
-		res.Net = cl.Net.Stats()
-		res.NodeObs = cl.ObsSnapshots()
-		return res, nil
+func failOrErr(res *Result, err error, start time.Time, cl *cluster.Cluster) (*Result, error) {
+	if !vm.IsOOM(err) {
+		return nil, err
 	}
-	return nil, err
-}
-
-// isOOM classifies memory exhaustion across both memory systems: the
-// managed heap's sentinel, the page store's typed exhaustion error, and
-// the FJ-level OutOfMemoryError string.
-func isOOM(err error) bool {
-	return errors.Is(err, heap.ErrOutOfMemory) ||
-		errors.Is(err, offheap.ErrPageExhausted) ||
-		(err != nil && strings.Contains(err.Error(), "OutOfMemoryError"))
+	res.OME = true
+	res.OMEAt = time.Since(start)
+	res.ET = res.OMEAt
+	fillBooks(res, cl)
+	return res, nil
 }

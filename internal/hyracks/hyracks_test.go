@@ -12,6 +12,7 @@ import (
 	"repro/internal/dfs"
 	"repro/internal/faults"
 	"repro/internal/ir"
+	"repro/internal/obs"
 )
 
 var progP, progP2 *ir.Program
@@ -246,9 +247,9 @@ func TestFaultMatrixJobsMatchBaseline(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s fault-free: %v", name, j.name, err)
 			}
-			if cleanRes.OME || cleanRes.Recovery != (Recovery{}) {
-				t.Fatalf("%s/%s fault-free run not clean: OME=%v rec=%+v",
-					name, j.name, cleanRes.OME, cleanRes.Recovery)
+			if rec := cleanRes.Obs.Recovery(); cleanRes.OME || len(rec) != 0 {
+				t.Fatalf("%s/%s fault-free run not clean: OME=%v rec=%v",
+					name, j.name, cleanRes.OME, rec)
 			}
 			want := outputFiles(t, cleanFS, "/out/"+j.name+"/")
 
@@ -284,9 +285,9 @@ func TestFaultMatrixJobsMatchBaseline(t *testing.T) {
 					if fc.Dup > 0 && res.Net.Deduped == 0 {
 						t.Fatal("dup injection produced no dedups")
 					}
-					if fc.Crashes > 0 &&
-						(res.Recovery.Crashes < 1 || res.Recovery.NodeRestarts < 1) {
-						t.Fatalf("crash not reflected in recovery stats: %+v", res.Recovery)
+					if book := res.Obs.Counters; fc.Crashes > 0 &&
+						(book[obs.CtrCrashes] < 1 || book[obs.CtrNodeRestarts] < 1) {
+						t.Fatalf("crash not reflected in recovery stats: %v", res.Obs.Recovery())
 					}
 				})
 			}
@@ -311,11 +312,12 @@ func TestMapOOMRetriesOnSameNode(t *testing.T) {
 	if res.OME {
 		t.Fatal("retryable alloc fault escalated to OME")
 	}
-	if res.Recovery.OOMRecoveries < 1 || res.Recovery.TaskRetries < 1 {
-		t.Fatalf("expected same-node retries in recovery stats: %+v", res.Recovery)
+	book := res.Obs.Counters
+	if book[obs.CtrOOMRecoveries] < 1 || book[obs.CtrTaskRetries] < 1 {
+		t.Fatalf("expected same-node retries in recovery stats: %v", res.Obs.Recovery())
 	}
-	if res.Recovery.TasksDegraded != 0 {
-		t.Fatalf("one-shot fault should not reach the helper rung: %+v", res.Recovery)
+	if book[obs.CtrTasksDegraded] != 0 {
+		t.Fatalf("one-shot fault should not reach the helper rung: %v", res.Obs.Recovery())
 	}
 	want := goWordCount(corpus)
 	got := parseWCOutput(t, fs)
@@ -344,8 +346,8 @@ func TestTaskDrainsToHelperNode(t *testing.T) {
 	if res.OME {
 		t.Fatal("degradable fault escalated to OME")
 	}
-	if res.Recovery.TasksDegraded < 1 {
-		t.Fatalf("expected a task drained to a helper node: %+v", res.Recovery)
+	if res.Obs.Counters[obs.CtrTasksDegraded] < 1 {
+		t.Fatalf("expected a task drained to a helper node: %v", res.Obs.Recovery())
 	}
 	want := goWordCount(corpus)
 	got := parseWCOutput(t, fs)

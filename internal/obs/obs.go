@@ -20,6 +20,7 @@
 package obs
 
 import (
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -202,6 +203,19 @@ type Snapshot struct {
 	Events     []Event                      `json:"events,omitempty"`
 }
 
+// Recovery returns the snapshot's recovery book: its nonzero recovery.*
+// counters, keyed without the prefix ("crashes", "node_restarts", ...).
+// It is empty for a run that recovered from nothing.
+func (s Snapshot) Recovery() map[string]int64 {
+	out := make(map[string]int64)
+	for name, v := range s.Counters {
+		if k, ok := strings.CutPrefix(name, "recovery."); ok && v != 0 {
+			out[k] = v
+		}
+	}
+	return out
+}
+
 // Instrument names used across the runtime. Centralized so reports and
 // dashboards do not chase string literals through the packages.
 const (
@@ -242,7 +256,11 @@ const (
 	CtrFaultTierSpill   = "faults.tier_spill_injected"   // injected spill-write failures
 	CtrFaultTierLoad    = "faults.tier_load_injected"    // injected promotion-read failures
 
-	// Recovery (cluster engines and the single-machine GraphChi engine).
+	// Recovery, counted once per event per run: on the cluster's own
+	// registry for GPS and Hyracks (it survives node restarts), on the
+	// VM's for GraphChi.
+	CtrCrashes            = "recovery.crashes"             // planned node or worker crashes survived
+	CtrOOMRecoveries      = "recovery.oom_recoveries"      // memory-exhaustion failures recovered
 	CtrCheckpoints        = "recovery.checkpoints"         // superstep checkpoints taken
 	CtrCheckpointBytes    = "recovery.checkpoint_bytes"    // codec-encoded checkpoint payload
 	CtrCheckpointsDropped = "recovery.checkpoints_dropped" // superseded checkpoints released

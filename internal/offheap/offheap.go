@@ -370,7 +370,7 @@ func (rt *Runtime) getPage(size int, stop StopWorld) (*page, error) {
 		n := rt.cFaultsInj.Load() + 1
 		rt.cFaultsInj.Inc()
 		rt.obs.Emit(obs.EvFault, string(faults.PageAcquire), n, 0, 0)
-		return nil, fmt.Errorf("%w (injected fault)", ErrPageExhausted)
+		return nil, fmt.Errorf("%w (%w)", ErrPageExhausted, faults.ErrInjected)
 	}
 	if err := rt.checkQuota(stop); err != nil {
 		return nil, err
@@ -418,7 +418,7 @@ func (rt *Runtime) noteCachedRecycle(p *page, stop StopWorld) error {
 		n := rt.cFaultsInj.Load() + 1
 		rt.cFaultsInj.Inc()
 		rt.obs.Emit(obs.EvFault, string(faults.PageAcquire), n, 0, 0)
-		return fmt.Errorf("%w (injected fault)", ErrPageExhausted)
+		return fmt.Errorf("%w (%w)", ErrPageExhausted, faults.ErrInjected)
 	}
 	if err := rt.checkQuota(stop); err != nil {
 		return err

@@ -292,7 +292,7 @@ func (rt *Runtime) spillLocked(p *page) error {
 		n := t.cFaultSpill.Load() + 1
 		t.cFaultSpill.Inc()
 		rt.obs.Emit(obs.EvFault, string(faults.TierSpill), n, 0, 0)
-		return fmt.Errorf("offheap: tier spill: injected fault")
+		return fmt.Errorf("offheap: tier spill: %w", faults.ErrInjected)
 	}
 	start := time.Now()
 	slot := t.allocSlotLocked()
@@ -347,7 +347,7 @@ func (rt *Runtime) promoteLocked(p *page) error {
 		n := t.cFaultLoad.Load() + 1
 		t.cFaultLoad.Inc()
 		rt.obs.Emit(obs.EvFault, string(faults.TierLoad), n, 0, 0)
-		return fmt.Errorf("%w (injected tier load fault)", ErrPageExhausted)
+		return fmt.Errorf("%w (tier load: %w)", ErrPageExhausted, faults.ErrInjected)
 	}
 	buf := make([]byte, PageSize)
 	start := time.Now()

@@ -322,8 +322,8 @@ func TestTierLoadFaultSurfacesAsPageExhausted(t *testing.T) {
 			rt.GetLong(ref, 0)
 		}
 	}()
-	if !errors.Is(tf, ErrPageExhausted) {
-		t.Fatalf("TierFault %v does not wrap ErrPageExhausted", tf)
+	if !errors.Is(tf, ErrPageExhausted) || !errors.Is(tf, faults.ErrInjected) {
+		t.Fatalf("TierFault %v does not wrap ErrPageExhausted and faults.ErrInjected", tf)
 	}
 	// The schedule is one-shot: a retry of the same reads succeeds with
 	// the original values — the degradation ladder's replay contract.
@@ -353,6 +353,25 @@ func TestTierSpillFaultIsBestEffort(t *testing.T) {
 	}
 	if rt.Stats().PagesSpilled == 0 {
 		t.Fatal("one-shot spill fault permanently disabled eviction")
+	}
+	checkTierAccounting(t, rt)
+}
+
+// TestTierSpillFaultIsTyped: eviction swallows a failed spill, but the
+// spill point's error wraps faults.ErrInjected like every other injection
+// point's, so a caller that does see it can tell it is injected.
+func TestTierSpillFaultIsTyped(t *testing.T) {
+	rt, _ := newTieredRuntime(t, 64, 32) // no automatic eviction
+	rt.SetFaultInjector(faults.New(&faults.Config{Seed: 5, TierSpillAt: 1}))
+	ic := 0
+	s := newScope(rt, &ic, 0)
+	defer s.Close()
+	ref := dedicated(t, s.Current(), 1)
+	rt.tier.mu.Lock()
+	err := rt.spillLocked(pageOf(rt, ref))
+	rt.tier.mu.Unlock()
+	if !errors.Is(err, faults.ErrInjected) {
+		t.Fatalf("spill fault %v does not wrap faults.ErrInjected", err)
 	}
 	checkTierAccounting(t, rt)
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 
@@ -130,11 +131,12 @@ type vmKey struct {
 // warmPool keeps reset-verified VMs for reuse. Entries are verified at
 // put time: a VM that fails ResetForReuse (leaked threads, live pages —
 // the signature of a job that crashed mid-iteration) is dropped and
-// counted as a pool rebuild instead of poisoning later jobs.
+// counted as a pool rebuild instead of poisoning later jobs. A full pool
+// evicts its least recently pooled VM, so one-off programs cannot hold
+// every slot against a program that keeps coming back.
 type warmPool struct {
 	mu      sync.Mutex
-	entries map[vmKey][]*vm.VM
-	size    int
+	entries []pooledVM // oldest first
 	cap     int
 
 	hits     *obs.Counter
@@ -143,9 +145,13 @@ type warmPool struct {
 	gauge    *obs.Gauge
 }
 
+type pooledVM struct {
+	key vmKey
+	vm  *vm.VM
+}
+
 func newWarmPool(capacity int, reg *obs.Registry) *warmPool {
 	return &warmPool{
-		entries:  make(map[vmKey][]*vm.VM),
 		cap:      capacity,
 		hits:     reg.Counter(obs.CtrServerWarmHits),
 		misses:   reg.Counter(obs.CtrServerWarmMisses),
@@ -154,22 +160,21 @@ func newWarmPool(capacity int, reg *obs.Registry) *warmPool {
 	}
 }
 
-// take pops a warm VM for the given program and heap size, or returns nil
-// on a miss.
+// take pops the most recently pooled warm VM for the given program and
+// heap size, or returns nil on a miss.
 func (wp *warmPool) take(key vmKey) *vm.VM {
 	wp.mu.Lock()
 	defer wp.mu.Unlock()
-	vs := wp.entries[key]
-	if len(vs) == 0 {
-		wp.misses.Add(1)
-		return nil
+	for i := len(wp.entries) - 1; i >= 0; i-- {
+		if e := wp.entries[i]; e.key == key {
+			wp.entries = slices.Delete(wp.entries, i, i+1)
+			wp.gauge.Set(int64(len(wp.entries)))
+			wp.hits.Add(1)
+			return e.vm
+		}
 	}
-	m := vs[len(vs)-1]
-	wp.entries[key] = vs[:len(vs)-1]
-	wp.size--
-	wp.gauge.Set(int64(wp.size))
-	wp.hits.Add(1)
-	return m
+	wp.misses.Add(1)
+	return nil
 }
 
 // put verifies a VM is safe to reuse and returns it to the pool. The
@@ -187,12 +192,14 @@ func (wp *warmPool) put(key vmKey, m *vm.VM) {
 	}
 	wp.mu.Lock()
 	defer wp.mu.Unlock()
-	if wp.size >= wp.cap {
+	if wp.cap <= 0 {
 		return
 	}
-	wp.entries[key] = append(wp.entries[key], m)
-	wp.size++
-	wp.gauge.Set(int64(wp.size))
+	if len(wp.entries) == wp.cap {
+		wp.entries = slices.Delete(wp.entries, 0, 1) // evict the oldest
+	}
+	wp.entries = append(wp.entries, pooledVM{key, m})
+	wp.gauge.Set(int64(len(wp.entries)))
 }
 
 // drop discards a taken VM that turned out to be unusable (e.g. its
@@ -205,5 +212,5 @@ func (wp *warmPool) drop() { wp.rebuilds.Add(1) }
 func (wp *warmPool) len() int {
 	wp.mu.Lock()
 	defer wp.mu.Unlock()
-	return wp.size
+	return len(wp.entries)
 }

@@ -43,7 +43,7 @@ const (
 // deterministic program against the same inputs can only fail the same
 // way.
 const (
-	// ErrKindTransient: injected crash faults, warm-pool reset failures —
+	// ErrKindTransient: injected faults, warm-pool reset failures —
 	// environment trouble, not a property of the program.
 	ErrKindTransient = "transient"
 	// ErrKindDeterministic: compile/verify/lint errors, OutOfMemoryError,
@@ -131,7 +131,7 @@ type SubmitRequest struct {
 	// daemon crashes.
 	DeadlineMillis int64 `json:"deadline_ms,omitempty"`
 	// MaxAttempts caps automatic re-runs after transient failures
-	// (injected crash faults, warm-pool reset failures). 0 or 1 means no
+	// (injected faults, warm-pool reset failures). 0 or 1 means no
 	// retry; deterministic failures never retry regardless. Capped at 8.
 	MaxAttempts int `json:"max_attempts,omitempty"`
 }

@@ -8,6 +8,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/faults"
+	"repro/internal/vm"
 )
 
 // mediumSrc runs for roughly half a second at interpreter speed — long
@@ -348,6 +351,58 @@ func TestDeadlineExpiresWhileQueued(t *testing.T) {
 	}
 }
 
+// oomSrc retains a linked list no 1 MiB heap can hold: a real,
+// reproducible OutOfMemoryError, not an injected one.
+const oomSrc = `
+class Node {
+    long v;
+    Node next;
+    Node(long v, Node next) { this.v = v; this.next = next; }
+}
+class Main {
+    static void main() {
+        Node head = null;
+        for (int i = 0; i < 1000000; i = i + 1) {
+            head = new Node(i, head);
+        }
+        Sys.println(head.v);
+    }
+}
+`
+
+// promotingSrc keeps page-bulky records live across iterations and
+// re-reads their arrays after each one, so under a two-page DRAM
+// watermark their pages spill and must be promoted back from disk — the
+// path a tier-load fault strikes.
+const promotingSrc = `
+// facadec: data=Big,Main
+class Big {
+    long a;
+    int[] pad;
+    Big(long a) { this.a = a; this.pad = new int[700]; }
+}
+class Main {
+    static void main() {
+        Big[] keep = new Big[40];
+        for (int i = 0; i < 40; i = i + 1) {
+            keep[i] = new Big(i * 17L);
+            keep[i].pad[13] = i;
+        }
+        long acc = 0L;
+        for (int it = 0; it < 5; it = it + 1) {
+            Sys.iterStart();
+            for (int i = 0; i < 200; i = i + 1) {
+                Big b = new Big(i);
+                acc = acc + b.a + b.pad.length;
+            }
+            Sys.iterEnd();
+            for (int i = 0; i < 40; i = i + 1) { acc = acc + keep[i].a + keep[i].pad[13]; }
+        }
+        Sys.println(acc);
+    }
+}
+`
+
 // TestTransientRetrySucceeds: an injected crash on attempt 1
 // (alloc=0.004,seed=17 deterministically fails the first run) is
 // classified transient and re-run with a re-derived fault stream; the
@@ -418,24 +473,6 @@ func TestTransientRetryExhaustsAttempts(t *testing.T) {
 // burn attempts on it.
 func TestDeterministicFailureNeverRetries(t *testing.T) {
 	_, c := newTestServer(t, Config{MaxConcurrent: 1})
-	// A retained linked list no heap of this size can hold: a real,
-	// reproducible OutOfMemoryError, not an injected one.
-	const oomSrc = `
-class Node {
-    long v;
-    Node next;
-    Node(long v, Node next) { this.v = v; this.next = next; }
-}
-class Main {
-    static void main() {
-        Node head = null;
-        for (int i = 0; i < 1000000; i = i + 1) {
-            head = new Node(i, head);
-        }
-        Sys.println(head.v);
-    }
-}
-`
 	st := submitWait(t, c, SubmitRequest{
 		Sources:     map[string]string{"oom.fj": oomSrc},
 		HeapSize:    1 << 20,
@@ -509,5 +546,90 @@ func TestDaemonFaultSpecCrashHook(t *testing.T) {
 		if err != nil || st.State != StateDone || st.Output != it.want {
 			t.Fatalf("job %d after killat crash: %v %s output %q (want %q)", i, err, st.State, st.Output, it.want)
 		}
+	}
+}
+
+// TestClassifyFailureByType: the retry taxonomy goes by error type, not
+// message. Every fault injection point's error is transient — a disk-tier
+// load fault too, although it wraps offheap.ErrPageExhausted exactly like
+// a real page-quota failure — and so is a failed warm-VM reset; genuine
+// heap and page exhaustion stay deterministic.
+func TestClassifyFailureByType(t *testing.T) {
+	fail := func(req SubmitRequest) error {
+		t.Helper()
+		_, _, err := OneShot(req)
+		if err == nil {
+			t.Fatalf("run with faults %q succeeded", req.Faults)
+		}
+		return err
+	}
+	churn := map[string]string{"churn.fj": churnSrc}
+	prog, err := compileRequest(&SubmitRequest{Sources: churn})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := vm.New(prog, vm.Config{HeapSize: 8 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.NewThread(nil); err != nil {
+		t.Fatal(err)
+	}
+	resetErr := m.ResetForReuse(vm.ResetConfig{}) // a thread is still open
+
+	cases := []struct {
+		name string
+		err  error
+		want string
+	}{
+		{"heap alloc", fail(SubmitRequest{Sources: churn, HeapSize: 8 << 20, Faults: "allocat=1"}), ErrKindTransient},
+		{"page acquire", fail(SubmitRequest{Sources: churn, Transform: true, HeapSize: 8 << 20, Faults: "pageat=1"}), ErrKindTransient},
+		// Eviction is best effort and swallows a failed spill, so no run
+		// ever fails with it; offheap's tests pin that the real spill
+		// error wraps the same sentinel.
+		{"tier spill", fmt.Errorf("offheap: tier spill: %w", faults.ErrInjected), ErrKindTransient},
+		{"tier load", fail(SubmitRequest{Sources: map[string]string{"promote.fj": promotingSrc}, Transform: true,
+			HeapSize: 8 << 20, TierDir: t.TempDir(), TierHighPages: 2, TierLowPages: 1, Faults: "tierloadat=1"}), ErrKindTransient},
+		{"vm reset", resetErr, ErrKindTransient},
+		{"heap exhausted", fail(SubmitRequest{Sources: map[string]string{"oom.fj": oomSrc}, HeapSize: 1 << 20}), ErrKindDeterministic},
+		{"page quota", fail(SubmitRequest{Sources: churn, Transform: true, HeapSize: 8 << 20, PageQuota: 1}), ErrKindDeterministic},
+	}
+	for _, tc := range cases {
+		if tc.err == nil {
+			t.Fatalf("%s: no error to classify", tc.name)
+		}
+		if got := classifyFailure(tc.err); got != tc.want {
+			t.Errorf("%s: classifyFailure(%q) = %s, want %s", tc.name, tc.err, got, tc.want)
+		}
+	}
+}
+
+// TestInjectedTierLoadFaultRetries: a job whose disk-tier promotion read
+// fails by injection is retried like every other injected fault, and
+// fails transient once its attempts are spent (the fault re-fires on
+// each attempt). Its error wraps offheap.ErrPageExhausted, the same type
+// a real page quota fails with, so only the injection sentinel tells
+// the two apart.
+func TestInjectedTierLoadFaultRetries(t *testing.T) {
+	_, c := newTestServer(t, Config{
+		MaxConcurrent: 1,
+		RetryBase:     time.Millisecond,
+		RetryMax:      4 * time.Millisecond,
+	})
+	st := submitWait(t, c, SubmitRequest{
+		Sources:       map[string]string{"promote.fj": promotingSrc},
+		Transform:     true,
+		HeapSize:      8 << 20,
+		TierDir:       t.TempDir(),
+		TierHighPages: 2,
+		TierLowPages:  1,
+		Faults:        "tierloadat=1",
+		MaxAttempts:   2,
+	})
+	if st.State != StateFailed || st.ErrorKind != ErrKindTransient {
+		t.Fatalf("tier-load fault job: %s kind %q (%s)", st.State, st.ErrorKind, st.Error)
+	}
+	if st.Attempt != 2 {
+		t.Fatalf("attempt = %d, want 2", st.Attempt)
 	}
 }

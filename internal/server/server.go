@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"os"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,6 +18,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/ir"
 	"repro/internal/obs"
+	"repro/internal/vm"
 )
 
 // Config configures a daemon instance. The zero value listens on an
@@ -810,13 +810,13 @@ func (s *Server) runJob(j *job, ctx context.Context, cancel context.CancelCauseF
 	}
 }
 
-// classifyFailure sorts a run error into the retry taxonomy
-// (docs/ROBUSTNESS.md): deadline and cancellation are surfaced as-is;
-// injected crash faults and warm-VM reset failures are transient
-// (environment trouble — re-running can succeed); everything else —
-// compile/verify/lint errors, OutOfMemoryError, page quotas — is
-// deterministic and fails fast, because a deterministic program re-run
-// against the same inputs can only fail the same way.
+// classifyFailure sorts a run error into the retry taxonomy by its type
+// (docs/SERVER.md): deadline and cancellation are surfaced as-is;
+// injected faults (faults.ErrInjected) and warm-VM reset failures
+// (vm.ErrResetFailed) are transient — environment trouble, re-running can
+// succeed; everything else — compile/verify/lint errors, OutOfMemoryError,
+// page quotas — is deterministic and fails fast, because a deterministic
+// program re-run against the same inputs can only fail the same way.
 func classifyFailure(err error) string {
 	var de *DeadlineError
 	if errors.As(err, &de) {
@@ -829,9 +829,7 @@ func classifyFailure(err error) string {
 		}
 		return ErrKindCanceled
 	}
-	msg := err.Error()
-	if strings.Contains(msg, "injected fault") || strings.Contains(msg, "reset with") ||
-		strings.Contains(msg, "reset:") {
+	if errors.Is(err, faults.ErrInjected) || errors.Is(err, vm.ErrResetFailed) {
 		return ErrKindTransient
 	}
 	return ErrKindDeterministic

@@ -174,6 +174,38 @@ func TestWarmReuseAcrossTransformedRuns(t *testing.T) {
 	}
 }
 
+// TestWarmPoolEvictsLeastRecentlyPooled: one-off programs fill every
+// slot of the warm pool, yet a program that comes back still gets a warm
+// VM on its second run — a full pool evicts its oldest VM instead of
+// refusing the newcomer.
+func TestWarmPoolEvictsLeastRecentlyPooled(t *testing.T) {
+	const capacity = 3
+	s, c := newTestServer(t, Config{MaxConcurrent: 1, WarmPoolCap: capacity})
+	run := func(name string) JobStatus {
+		t.Helper()
+		st := submitWait(t, c, SubmitRequest{Sources: map[string]string{name: seededSrc}, HeapSize: 8 << 20})
+		if st.State != StateDone {
+			t.Fatalf("%s: %s (%s)", name, st.State, st.Error)
+		}
+		return st
+	}
+	for i := 0; i < capacity; i++ {
+		run(fmt.Sprintf("oneoff%d.fj", i)) // distinct source sets: distinct programs
+	}
+	if n := s.pool.len(); n != capacity {
+		t.Fatalf("pool holds %d VMs after %d one-off jobs, want %d", n, capacity, capacity)
+	}
+	if run("repeat.fj").WarmHit {
+		t.Fatal("first run of a new program cannot be a warm hit")
+	}
+	if !run("repeat.fj").WarmHit {
+		t.Fatal("repeated program missed the warm pool: the full pool refused its VM")
+	}
+	if n := s.pool.len(); n != capacity {
+		t.Fatalf("pool holds %d VMs, want %d", n, capacity)
+	}
+}
+
 // TestTieredJobOnWarmPool: a job running with the off-heap disk tier must
 // produce output bit-identical to an untiered one-shot of the same
 // request, report its spill traffic in the job stats, and leave no spill

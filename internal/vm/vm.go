@@ -16,6 +16,7 @@
 package vm
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -29,6 +30,18 @@ import (
 	"repro/internal/obs"
 	"repro/internal/offheap"
 )
+
+// IsOOM reports whether err is memory exhaustion — real or injected, of
+// the managed heap or of the page store (a failed disk-tier promotion
+// included). Engines recover from it on their degradation ladders.
+func IsOOM(err error) bool {
+	return errors.Is(err, heap.ErrOutOfMemory) || errors.Is(err, offheap.ErrPageExhausted)
+}
+
+// ErrResetFailed wraps every ResetForReuse failure: the VM held state a
+// reset cannot rewind (a leaked thread or page), so the caller must
+// discard it and build a fresh one.
+var ErrResetFailed = errors.New("vm: reset for reuse failed")
 
 // Value is the VM's raw 64-bit slot: int/long/bool/byte as sign-extended
 // two's complement, double as IEEE bits, heap references as zero-extended
@@ -440,13 +453,20 @@ type ResetConfig struct {
 // All threads must have been closed first; a job that leaked a thread or a
 // page fails the reset, in which case the caller must discard the VM and
 // rebuild (this is how the daemon keeps a crashed tenant job from
-// poisoning the warm pool).
+// poisoning the warm pool). The error then wraps ErrResetFailed.
 func (vm *VM) ResetForReuse(cfg ResetConfig) error {
+	if err := vm.reset(cfg); err != nil {
+		return fmt.Errorf("%w: %w", ErrResetFailed, err)
+	}
+	return nil
+}
+
+func (vm *VM) reset(cfg ResetConfig) error {
 	vm.threadsMu.Lock()
 	live := len(vm.threads)
 	vm.threadsMu.Unlock()
 	if live != 0 {
-		return fmt.Errorf("vm: reset with %d live thread(s)", live)
+		return fmt.Errorf("%d live thread(s)", live)
 	}
 	if vm.rootScope != nil {
 		vm.rootScope.ReleaseAll()
